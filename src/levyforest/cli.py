@@ -25,12 +25,13 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .cb_flow import simulate_cb
 from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, PreconditionError
-from .exploration import height_trajectory
-from .local_time import default_level_width, occupation_local_time
 from .exploration import scan_height
+from .local_time import default_level_width, occupation_local_time
 from .paths import build_nodes, sample_path, write_jumps_csv, write_path_csv
 from .verify import SUITES, run_all, run_suite
 
@@ -131,16 +132,15 @@ def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
     if mech.beta <= 0.0:
         raise PreconditionError("height simulation requires beta > 0")
     path = sample_path(mech, cfg)
-    heights = height_trajectory(path)
+    nodes = build_nodes(path)
+    sc = scan_height(nodes, path.beta_eff)
     with open(os.path.join(out, "height.csv"), "w", encoding="utf-8", newline="") as fp:
         fp.write("time,height\n")
-        for t, h in zip(path.grid_times(), heights):
+        for t, h in zip(path.grid_times(), sc.grid_height()):
             fp.write(f"{t!r},{h!r}\n")
-    sc = scan_height(build_nodes(path), path.beta_eff)
     width = default_level_width(cfg.dt, path.beta_eff)
-    import numpy as np
     edges = np.arange(0.0, max(sc.height.max() + 2 * width, 2 * width), width)
-    field = occupation_local_time(build_nodes(path).times, sc.height, edges)
+    field = occupation_local_time(nodes.times, sc.height, edges)
     with open(os.path.join(out, "local_time.csv"), "w", encoding="utf-8", newline="") as fp:
         field.write_csv(fp)
     _write_sidecar(out, "height", run)

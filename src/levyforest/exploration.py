@@ -11,14 +11,18 @@ infimum of the path instead.
 
 Two engines compute the same trajectory:
 
-* "stack"  -- the sequential structure above, amortized O(1) per event;
-* "scan"   -- direct evaluation of the pathwise identity
-              beta*H_t = xi_t - inf_{[0,t]} xi
-                         - sum_{jumps t_i <= t} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
-  with vectorized running minima, O(#jumps * #nodes).
+* scan_height   -- the production engine: one forward sweep of the stack
+                   above, where only jump boundaries touch the records and
+                   each jump-free stretch is a vectorized running minimum
+                   plus an interpolation, O(#nodes + #jumps) array work;
+* direct_height -- direct evaluation of the pathwise identity
+                   beta*H_t = xi_t - inf_{[0,t]} xi
+                              - sum_{jumps t_i <= t} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
+                   with vectorized running minima, O(#jumps * #nodes).
 
-They agree to floating-point accuracy; the scan doubles as an independent
-oracle for the stack and is the faster engine for long Monte Carlo paths.
+They agree to floating-point accuracy; the direct formula is kept as the
+independent oracle for the sweep (height_trajectory engine "scan").  The
+per-event ExplorationStack serves snapshots (stack_at) and the unit checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "concatenate",
     "HeightScan",
     "scan_height",
+    "direct_height",
     "height_trajectory",
 ]
 
@@ -184,7 +189,7 @@ def concatenate(lower: ExplorationStack, upper: ExplorationStack) -> Exploration
 
 
 # ---------------------------------------------------------------------------
-# scan engine
+# height engines
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,6 +216,75 @@ class HeightScan:
 
 
 def scan_height(nodes: Nodes, beta: float) -> HeightScan:
+    """Height trajectory by one forward sweep of the exploration stack.
+
+    Up to the first jump H = (xi - inf xi)/beta.  From there the sweep walks
+    from jump to jump.  Over the jump-free stretch [s, e] the state at node i
+    is the stack at s eroded down to the stretch's running minimum m_i, plus
+    a fresh segment of height (xi_i - m_i)/beta, so the stretch's heights are
+    one np.interp of m against the (level, height) profile of the records
+    the stretch erodes.  Only the stretch ends pop or push records, and each
+    record is popped once: O(nodes + jumps) array work.
+    """
+    if beta <= 0.0:
+        raise PreconditionError("height computation requires beta > 0")
+    vals = nodes.values
+    inf0 = np.minimum.accumulate(vals)
+    height = np.maximum(vals - inf0, 0.0) / beta
+    final = np.zeros(len(nodes.jump_post))
+    if len(final):
+        _sweep_jumps(vals, inf0, nodes.jump_post, beta, height, final)
+    return HeightScan(nodes=nodes, beta=beta, height=height,
+                      infimum=inf0, final_erosion=final)
+
+
+def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> None:
+    """Overwrite height from the first jump on and fill final (scan_height).
+
+    Records are the stack's, bottom to top, in path-value coordinates: lows
+    holds a record's lower level, bases the height there, jumps the index
+    of an atom's jump (-1 for a segment).  A record's upper level is the
+    next record's lower one, the top record's the current path value, and
+    the bottom level is the running infimum, so erosion is an exact
+    comparison of path values and H is exactly 0 at the running infimum.
+    """
+    posts = jump_post.tolist()
+    ends = posts[1:] + [len(vals)]
+    pre = vals[jump_post - 1].tolist()
+    p0 = posts[0]
+    lows: list[float] = []
+    bases: list[float] = []
+    jumps: list[int] = []
+    floor = float(inf0[p0 - 1])
+    if pre[0] > floor:
+        lows.append(floor); bases.append(0.0); jumps.append(-1)
+    h_pre = float(height[p0 - 1])
+    for j, (s, e) in enumerate(zip(posts, ends)):
+        lows.append(pre[j]); bases.append(h_pre); jumps.append(j)
+        seg = vals[s:e]
+        run_min = np.minimum.accumulate(seg)
+        low = float(run_min[-1])
+        k = len(lows)                   # records k.. are eroded away
+        while k and lows[k - 1] >= low:
+            k -= 1
+        r0 = max(k - 1, 0)              # plus the one cut at level low
+        eroded = np.interp(run_min, lows[r0:] + [float(seg[0])], bases[r0:] + [h_pre])
+        del lows[k:], bases[k:], jumps[k:]
+        height[s:e] = eroded + (seg - run_min) / beta
+        h_low = float(eroded[-1])
+        v_end = float(seg[-1])
+        if v_end > low:
+            lows.append(low); bases.append(h_low); jumps.append(-1)
+        h_pre = h_low + (v_end - low) / beta
+    ups = lows[1:] + [float(vals[-1])]
+    for lo_r, up_r, j in zip(lows, ups, jumps):
+        if j >= 0:
+            final[j] = up_r - lo_r
+
+
+def direct_height(nodes: Nodes, beta: float) -> HeightScan:
+    """The same HeightScan from the pathwise identity, O(jumps * nodes);
+    the independent oracle for scan_height."""
     if beta <= 0.0:
         raise PreconditionError("height computation requires beta > 0")
     vals = nodes.values
@@ -234,38 +308,21 @@ def scan_height(nodes: Nodes, beta: float) -> HeightScan:
 # trajectory drivers
 # ---------------------------------------------------------------------------
 
-def height_trajectory(path: LevyPath, engine: str = "scan") -> np.ndarray:
-    """H at the grid times of a path.  engine: "scan" (vectorized identity)
-    or "stack" (sequential exploration structure); they agree to ~1e-12."""
+def height_trajectory(path: LevyPath, engine: str = "stack") -> np.ndarray:
+    """H at the grid times of a path.  engine: "stack" (the exploration-stack
+    sweep, scan_height) or "scan" (the direct formula, direct_height); they
+    agree to ~1e-12."""
     if path.beta_eff <= 0.0:
         raise PreconditionError(
             "height trajectory requires a diffusion part (beta > 0, possibly "
             "via the small-jump gaussian correction)")
-    if engine == "scan":
-        return scan_height(build_nodes(path), path.beta_eff).grid_height()
     if engine == "stack":
-        return _stack_trajectory(path)
-    raise ValueError("engine must be 'scan' or 'stack'")
-
-
-def _stack_trajectory(path: LevyPath) -> np.ndarray:
-    nodes = build_nodes(path)
-    stack = ExplorationStack(path.beta_eff)
-    is_jump = nodes.piece_is_jump()
-    kinds = nodes.kinds
-    vals = nodes.values
-    out = np.empty(len(nodes.grid_index))
-    out[0] = 0.0
-    g = 1
-    for i in range(1, len(vals)):
-        if is_jump[i - 1]:
-            stack.push_jump(vals[i] - vals[i - 1])
-        else:
-            stack.advance_continuous(float(vals[i] - vals[i - 1]))
-        if kinds[i] == 0:           # grid vertex
-            out[g] = stack.height
-            g += 1
-    return out
+        compute = scan_height
+    elif engine == "scan":
+        compute = direct_height
+    else:
+        raise ValueError("engine must be 'scan' or 'stack'")
+    return compute(build_nodes(path), path.beta_eff).grid_height()
 
 
 def stack_at(path: LevyPath, t: float) -> tuple[ExplorationStack, float]:

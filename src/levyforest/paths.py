@@ -65,6 +65,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "truncation_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"sim.{name} must be finite")
         if not self.dt > 0.0:
             raise ConfigurationError("sim.dt must be > 0")
         if not self.horizon > self.dt:

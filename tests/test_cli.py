@@ -109,6 +109,18 @@ def test_simulate_height_and_cb_outputs(tmp_path):
     assert (out / "cb.csv").read_text().splitlines()[0] == "time,value"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("horizon", float("inf")), ("dt", float("nan")),
+    ("truncation_delta", float("inf"))])
+def test_non_finite_sim_number_exits_2(tmp_path, field, value):
+    sim = {"dt": 1e-2, "horizon": 1.0, field: value}
+    cfg = write_cfg(tmp_path, "c.json", {"sim": sim})
+    r = run_cli("simulate", "height", "--config", cfg, "--out", str(tmp_path / "h"))
+    assert r.returncode == 2
+    assert f"sim.{field}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_suite_noise_beta0_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"mechanism": {"alpha": 1.0, "beta": 0.0},

@@ -7,21 +7,27 @@ from levyforest import BranchingMechanism, JumpMeasure, PreconditionError
 from levyforest.exploration import (
     ExplorationStack,
     concatenate,
+    direct_height,
     height_trajectory,
     scan_height,
     stack_at,
 )
+from levyforest.mechanism import PowerLawTail
 from levyforest.paths import (
     JumpSet,
     LevyPath,
+    Nodes,
     SimConfig,
     build_nodes,
     sample_path,
     time_reverse,
+    truncate_at_level,
 )
 
 FELLER = BranchingMechanism(0.5, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5), (0.3, 1.0))))
+POWER = BranchingMechanism(0.5, 1.0, JumpMeasure(
+    power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
 
 
 # -- stack unit behavior -------------------------------------------------------
@@ -123,12 +129,104 @@ def test_jump_free_height_identity():
 def test_stack_equals_scan_on_random_paths():
     worst = 0.0
     for i in range(30):
-        mech = FELLER if i % 2 == 0 else JUMPY
-        p = sample_path(mech, SimConfig(dt=1e-3, horizon=2.0, seed=99), path_index=i)
+        mech = (FELLER, JUMPY, POWER)[i % 3]
+        cfg = SimConfig(dt=1e-3, horizon=2.0, truncation_delta=0.03,
+                        small_jump_mode="gaussian_correction", seed=99)
+        p = sample_path(mech, cfg, path_index=i)
         h_scan = height_trajectory(p, engine="scan")
         h_stack = height_trajectory(p, engine="stack")
         worst = max(worst, float(np.max(np.abs(h_scan - h_stack))))
     assert worst <= 1e-9
+
+
+def _assert_engines_agree(nodes: Nodes, beta: float) -> None:
+    sweep, direct = scan_height(nodes, beta), direct_height(nodes, beta)
+    assert np.max(np.abs(sweep.height - direct.height)) <= 1e-9
+    assert np.max(np.abs(sweep.infimum - direct.infimum)) <= 1e-9
+    assert np.max(np.abs(sweep.final_erosion - direct.final_erosion),
+                  initial=0.0) <= 1e-9
+    # exactly 0 wherever the path sits at its running infimum
+    assert (sweep.height[nodes.values == sweep.infimum] == 0.0).all()
+
+
+def test_sweep_matches_direct_formula_on_dense_power_law_path():
+    cfg = SimConfig(dt=2.5e-4, horizon=4.0, truncation_delta=0.01,
+                    small_jump_mode="gaussian_correction", seed=3)
+    p = sample_path(POWER, cfg)
+    nodes = build_nodes(p)
+    assert len(p.jumps) >= 2500
+    assert (scan_height(nodes, p.beta_eff).final_erosion > 0.0).any()
+    _assert_engines_agree(nodes, p.beta_eff)
+    cut, _ = truncate_at_level(nodes, 1.2)
+    assert len(cut.jump_post) >= 1000
+    _assert_engines_agree(cut, p.beta_eff)
+
+
+def _hand_nodes(times, values, kinds) -> Nodes:
+    """Nodes from a hand-written vertex list (kinds: 0 grid, 1 pre, 2 post)."""
+    times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+    kinds = np.array(kinds, dtype=np.uint8)
+    post = np.flatnonzero(kinds == 2)
+    return Nodes(times, values, kinds, post, values[post] - values[post - 1],
+                 np.flatnonzero(kinds == 0))
+
+
+# (times, values, kinds, heights at beta=1, surviving atom masses)
+HAND_CASES = {
+    "two jumps in one cell": (
+        [0.0, 0.5, 0.75, 0.75, 0.875, 0.875, 1.0],
+        [0.0, 1.0, 0.5, 1.5, 1.75, 2.75, 1.625],
+        [0, 0, 1, 2, 1, 2, 0],
+        [0.0, 1.0, 0.5, 0.5, 0.75, 0.75, 0.625],
+        [1.0, 0.0]),
+    "jump in the first cell": (
+        [0.0, 0.25, 0.25, 1.0, 2.0],
+        [0.0, -0.25, 0.75, 1.0, 1.5],
+        [0, 1, 2, 0, 0],
+        [0.0, 0.0, 0.0, 0.25, 0.75],
+        [1.0]),
+    "atom eroded to exactly zero": (
+        [0.0, 1.0, 1.5, 1.5, 2.0, 3.0],
+        [0.0, 1.0, 0.75, 1.75, 0.75, 1.25],
+        [0, 0, 1, 2, 0, 0],
+        [0.0, 1.0, 0.75, 0.75, 0.75, 1.25],
+        [0.0]),
+    "stack emptied at a pre-jump vertex": (
+        [0.0, 1.0, 1.5, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0],
+        [0.0, 1.0, 0.0, 0.5, 0.75, -0.25, 0.75, 0.5, 1.5],
+        [0, 0, 1, 2, 0, 1, 2, 0, 0],
+        [0.0, 1.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.75]),
+    "stack holding only atoms": (
+        [0.0, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0],
+        [0.0, -0.5, 0.5, 0.25, 0.25, 1.25, 0.0],
+        [0, 1, 2, 0, 1, 2, 0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_CASES))
+def test_sweep_on_hand_built_nodes(case):
+    times, values, kinds, heights, survivors = HAND_CASES[case]
+    nodes = _hand_nodes(times, values, kinds)
+    # dyadic values: the sweep is exact here
+    sc = scan_height(nodes, 1.0)
+    assert np.array_equal(sc.height, heights)
+    assert np.array_equal(sc.final_erosion, survivors)
+    _assert_engines_agree(nodes, 1.0)
+    half = scan_height(nodes, 0.5)
+    assert np.array_equal(half.height, 2.0 * np.array(heights))
+    assert np.array_equal(half.final_erosion, sc.final_erosion)
+
+
+def test_sweep_on_jump_free_nodes_is_the_reflected_path():
+    p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=3.0, seed=8))
+    nodes = build_nodes(p)
+    v = nodes.values
+    sc = scan_height(nodes, FELLER.beta)
+    assert np.array_equal(sc.height, (v - np.minimum.accumulate(v)) / FELLER.beta)
+    assert len(sc.final_erosion) == 0
 
 
 def test_height_requires_beta():
