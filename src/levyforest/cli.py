@@ -51,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override sim seed")
     common.add_argument("--paths", type=int, default=None, help="override path count")
     common.add_argument("--dt", type=float, default=None, help="override grid step")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (results are jobs-independent)")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="worker threads (default 1; results are jobs-independent)")
     common.add_argument("--negative-control", action="store_true",
                         help="perturb the oracle drift by +0.3 (must fail)")
 

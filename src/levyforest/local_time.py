@@ -36,12 +36,14 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exploration import HeightScan, scan_height
-from .paths import LevyPath, build_nodes, truncate_at_level
+from .paths import LevyPath, build_nodes, node_weights, truncate_at_level
 
 __all__ = [
     "default_level_width",
     "aligned_level_width",
     "bin_of",
+    "LevelBins",
+    "level_bins",
     "LocalTimeField",
     "occupation_local_time",
     "occupation_profile",
@@ -71,19 +73,47 @@ def aligned_level_width(target: float, levels) -> float:
     raise ValueError(f"levels {positive} admit no common bin width near {target}")
 
 
+def _level_key(heights, width: float) -> tuple[np.ndarray, int]:
+    """1 + bin index of every height (0 for H <= 0) in the narrowest unsigned
+    type that holds it, and the largest key."""
+    q = np.asarray(heights, dtype=float) / width
+    np.ceil(q, out=q)
+    np.maximum(q, 0.0, out=q)
+    top = int(q.max()) if len(q) else 0
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            break
+    else:
+        dtype = np.int64
+    return q.astype(dtype), top
+
+
 def bin_of(h, width: float):
     """Index of the bin (j*width, (j+1)*width] containing h; -1 for h <= 0."""
-    h = np.asarray(h, dtype=float)
-    idx = np.ceil(h / width).astype(np.int64) - 1
-    idx[np.asarray(h) <= 0.0] = -1
-    return idx
+    return _level_key(np.atleast_1d(h), width)[0].astype(np.int64) - 1
 
 
-def _node_weights(times: np.ndarray) -> np.ndarray:
-    w = np.empty(len(times))
-    w[:-1] = np.diff(times)
-    w[-1] = 0.0
-    return w
+@dataclass(frozen=True)
+class LevelBins:
+    """The vertices of one trajectory binned by level, once for every
+    estimator that needs them.
+
+    key[i] is 1 + the bin of H_i, or 0 when H_i <= 0, in the narrowest
+    unsigned type that holds top = key.max() (numpy sorts 8- and 16-bit keys
+    by radix); weights[i] is the left-point occupation weight of vertex i.
+    """
+
+    key: np.ndarray
+    top: int
+    weights: np.ndarray
+    width: float
+
+
+def level_bins(times: np.ndarray, heights: np.ndarray, width: float) -> LevelBins:
+    key, top = _level_key(heights, width)
+    return LevelBins(key=key, top=top,
+                     weights=node_weights(np.asarray(times, dtype=float)),
+                     width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +170,7 @@ def occupation_local_time(times: np.ndarray, heights: np.ndarray,
     edges = np.asarray(level_edges, dtype=float)
     width = float(edges[1] - edges[0])
     nb = len(edges) - 1
-    w = _node_weights(times)
+    w = node_weights(times)
     if t_max is not None:
         w = np.minimum(w, np.maximum(t_max - times, 0.0))
     bins = bin_of(heights, width)
@@ -157,34 +187,54 @@ def occupation_local_time(times: np.ndarray, heights: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def occupation_profile(times: np.ndarray, heights: np.ndarray,
-                       width: float, n_bins: int) -> np.ndarray:
-    """Final-time profile: occupation of each bin over the whole trajectory."""
-    w = _node_weights(times)
-    bins = bin_of(heights, width)
-    ok = (bins >= 0) & (bins < n_bins)
-    return np.bincount(bins[ok], weights=w[ok], minlength=n_bins) / width
+                       width: float, n_bins: int, *,
+                       binned: LevelBins | None = None) -> np.ndarray:
+    """Final-time profile: occupation of each bin over the whole trajectory.
+
+    binned, the same trajectory's level_bins, saves the binning pass when
+    several estimators read one trajectory.
+    """
+    if binned is None:
+        binned = level_bins(times, heights, width)
+    key = binned.key
+    if binned.top > n_bins:
+        # one slot for every bin above the profile keeps the counts
+        # n_bins + 2 long however high the trajectory climbs
+        key = np.minimum(key, key.dtype.type(n_bins + 1))
+    occ = np.bincount(key, weights=binned.weights, minlength=n_bins + 1)
+    return occ[1:n_bins + 1] / binned.width
 
 
-def running_local_time(times: np.ndarray, heights: np.ndarray,
-                       width: float) -> np.ndarray:
+def running_local_time(times: np.ndarray, heights: np.ndarray, width: float,
+                       *, binned: LevelBins | None = None) -> np.ndarray:
     """Predictable running estimate L_s(H_s) at every vertex.
 
     Entry i is the occupation, strictly before vertex i, of the bin that
-    contains H_i, divided by the width.  Vertices with H = 0 get 0.
+    contains H_i, divided by the width.  Vertices with H = 0 get 0.  One
+    stable (radix) sort groups the vertices by bin in time order; an
+    exclusive cumulative sum less its value at each group's start is the
+    occupation before each vertex.  binned as in occupation_profile.
     """
-    w = _node_weights(times)
-    bins = bin_of(heights, width)
-    order = np.argsort(bins, kind="stable")
-    sb = bins[order]
-    sw = w[order]
-    cs = np.cumsum(sw) - sw                     # exclusive within the sorted array
-    first = np.ones(len(sb), dtype=bool)
-    first[1:] = sb[1:] != sb[:-1]
-    group_base = np.maximum.accumulate(np.where(first, cs, -np.inf))
-    excl = cs - group_base
-    out = np.empty(len(bins))
-    out[order] = excl / width
-    out[bins < 0] = 0.0
+    if binned is None:
+        binned = level_bins(times, heights, width)
+    key = binned.key
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    sw = binned.weights[order]
+    cs = np.cumsum(sw)
+    cs -= sw                                    # exclusive, in sorted order
+    first = np.empty(len(sk), dtype=bool)
+    first[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # a bin's base is the running maximum of the bins' first values: its own
+    # first value, unless rounding after a bin of zero weights lowered that
+    base = np.maximum.accumulate(cs[starts])
+    cs -= np.repeat(base, np.diff(starts, append=len(cs)))
+    cs /= binned.width
+    cs[:np.searchsorted(sk, 1)] = 0.0          # H <= 0 sorts first
+    out = np.empty(len(cs))
+    out[order] = cs
     return out
 
 
@@ -192,7 +242,7 @@ def occupation_below(times: np.ndarray, heights: np.ndarray, a: float,
                      t: float | None = None) -> float:
     """Time spent with H <= a up to t (whole trajectory by default)."""
     times = np.asarray(times, dtype=float)
-    w = _node_weights(times)
+    w = node_weights(times)
     if t is not None:
         w = np.minimum(w, np.maximum(t - times, 0.0))
     return float(w[np.asarray(heights) <= a].sum())
@@ -297,7 +347,8 @@ def jump_erosion_residual(scan: HeightScan, width: float) -> float:
     hj = scan.height[posts]
     bins = bin_of(hj, width)
     n_bins = int(bins.max()) + 1 if (bins >= 0).any() else 1
-    prof = occupation_profile(nodes.times, scan.height, width, max(n_bins, 1))
-    run = running_local_time(nodes.times, scan.height, width)
+    lb = level_bins(nodes.times, scan.height, width)
+    prof = occupation_profile(nodes.times, scan.height, width, n_bins, binned=lb)
+    run = running_local_time(nodes.times, scan.height, width, binned=lb)
     rhs = np.where(bins >= 0, run[posts] - prof[np.maximum(bins, 0)], 0.0)
     return float(np.max(np.abs(lhs - rhs)))

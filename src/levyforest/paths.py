@@ -38,6 +38,7 @@ __all__ = [
     "time_reverse",
     "running_infimum",
     "hitting_time",
+    "node_weights",
     "build_nodes",
     "truncate_at_level",
     "sim_config_from_config",
@@ -131,7 +132,7 @@ _EMPTY = np.empty(0)
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Retained jumps with exact in-cell placement."""
+    """Retained jumps with exact in-cell placement, in (cell, frac) order."""
 
     times: np.ndarray = field(default_factory=lambda: _EMPTY)
     sizes: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -214,19 +215,25 @@ class Nodes:
     def __len__(self) -> int:
         return len(self.times)
 
-    def weights(self) -> np.ndarray:
-        """Time from each node to the next (0 for the last node)."""
-        w = np.empty(len(self.times))
-        w[:-1] = np.diff(self.times)
-        w[-1] = 0.0
-        return w
-
     def piece_is_jump(self) -> np.ndarray:
         """Boolean per piece (node i -> i+1): True for the pre -> post rise."""
         return (self.kinds[:-1] == _KIND_PRE) & (self.kinds[1:] == _KIND_POST)
 
 
+def node_weights(times: np.ndarray) -> np.ndarray:
+    """Time from each node to the next (0 for the last node): the left-point
+    occupation weight of every vertex."""
+    w = np.empty(len(times))
+    np.subtract(times[1:], times[:-1], out=w[:-1])
+    w[-1] = 0.0
+    return w
+
+
 def build_nodes(path: LevyPath) -> Nodes:
+    """Vertices in time order.  Jumps come sorted by (cell, frac), so jump j
+    has 2j jump vertices and cells[j] + 1 grid vertices before it: its pre
+    vertex sits at cells[j] + 1 + 2j and its post vertex right after, also
+    when several jumps share one instant."""
     n = path.n_cells
     grid_t = path.grid_times()
     if not len(path.jumps):
@@ -236,19 +243,27 @@ def build_nodes(path: LevyPath) -> Nodes:
                      np.empty(0, dtype=np.int64), _EMPTY, idx)
 
     j = path.jumps
-    post_values = j.pre_values + j.sizes
-    times = np.concatenate((grid_t, j.times, j.times))
-    values = np.concatenate((path.values, j.pre_values, post_values))
-    kinds = np.concatenate((
-        np.full(n + 1, _KIND_GRID, dtype=np.uint8),
-        np.full(len(j), _KIND_PRE, dtype=np.uint8),
-        np.full(len(j), _KIND_POST, dtype=np.uint8),
-    ))
-    order = np.lexsort((kinds, times))
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[order] = np.arange(len(order))
-    return Nodes(times[order], values[order], kinds[order],
-                 inv[n + 1 + len(j):], j.sizes.copy(), inv[:n + 1])
+    m = len(j)
+    pre = j.cells + 1 + 2 * np.arange(m)
+    post = pre + 1
+    # grid vertex k follows the 2 * (jumps in cells < k) jump vertices
+    shift = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(j.cells, minlength=n), out=shift[1:])
+    grid = np.arange(n + 1) + 2 * shift
+    size = n + 1 + 2 * m
+    times = np.empty(size)
+    values = np.empty(size)
+    kinds = np.empty(size, dtype=np.uint8)
+    times[grid] = grid_t
+    values[grid] = path.values
+    kinds[grid] = _KIND_GRID
+    times[pre] = j.times
+    times[post] = j.times
+    values[pre] = j.pre_values
+    values[post] = j.pre_values + j.sizes
+    kinds[pre] = _KIND_PRE
+    kinds[post] = _KIND_POST
+    return Nodes(times, values, kinds, post, j.sizes.copy(), grid)
 
 
 def truncate_at_level(nodes: Nodes, x: float) -> tuple[Nodes, float] | None:
@@ -354,12 +369,12 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
                 jump_parts.append((cells_local + done_cells, fracs, sizes))
         db_parts.append(db)
         inc_parts.append(inc)
-        vals = v_carry + np.cumsum(inc)
         done_cells += k
-        v_carry = float(vals[-1])
         # grid detection is enough to stop generating; the authoritative
         # crossing (pre-jump vertices included) is found by truncate_at_level
         if stop_level is not None:
+            vals = v_carry + np.cumsum(inc)
+            v_carry = float(vals[-1])
             r = stop_grid_ratio
             if r <= 1:
                 hit = vals.min() <= -stop_level
@@ -372,7 +387,9 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     brownian = np.concatenate(db_parts) if db_parts else _EMPTY
     # canonical single-pass construction: identical result whether the path
     # was produced chunked, stopped early, or rebuilt from reversed pieces
-    values = np.concatenate(([0.0], np.cumsum(np.concatenate(inc_parts))))
+    values = np.empty(done_cells + 1)
+    values[0] = 0.0
+    np.cumsum(np.concatenate(inc_parts), out=values[1:])
     jumps = _assemble_jumps(jump_parts, values, brownian, drift, coeff, dt)
     return LevyPath(dt=dt, values=values, brownian_increments=brownian,
                     jumps=jumps, applied_drift=drift, gaussian_coeff=coeff,

@@ -32,7 +32,7 @@ from .errors import PreconditionError
 from .exploration import scan_height
 from .local_time import (
     aligned_level_width,
-    bin_of,
+    level_bins,
     occupation_profile,
     running_local_time,
     tanaka_local_time,
@@ -43,6 +43,7 @@ from .paths import (
     SimConfig,
     build_nodes,
     coarsen_path,
+    node_weights,
     sample_path,
     sim_config_to_config,
     truncate_at_level,
@@ -206,26 +207,61 @@ def _exponent_cells(mech: BranchingMechanism, oracle: BranchingMechanism,
 
 @dataclass(frozen=True)
 class GridFunction2D:
-    """Piecewise-constant f(s, u) on a rectangle grid (compact support)."""
+    """Piecewise-constant f(s, u) on a rectangle grid (compact support).
+
+    Cells are half-open on the left, (s_k, s_k+1] x (u_l, u_l+1]; f is 0
+    outside the grid and at NaN.
+    """
 
     s_edges: np.ndarray
     u_edges: np.ndarray
     values: np.ndarray      # shape (len(s_edges)-1, len(u_edges)-1)
+    _s_search: np.ndarray = field(init=False, repr=False, compare=False)
+    _u_search: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # values framed by zeros, indexed by the number of edges below (s, u)
+        table = np.zeros((len(self.s_edges) + 1, len(self.u_edges) + 1))
+        table[1:-1, 1:-1] = self.values
+        object.__setattr__(self, "_s_search", _search_table(self.s_edges))
+        object.__setattr__(self, "_u_search", _search_table(self.u_edges))
+        object.__setattr__(self, "_table", table.ravel())
 
     def __call__(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        si = np.searchsorted(self.s_edges, s, side="left") - 1
-        ui = np.searchsorted(self.u_edges, u, side="left") - 1
-        ok = (si >= 0) & (si < self.values.shape[0]) & \
-             (ui >= 0) & (ui < self.values.shape[1]) & (s > self.s_edges[0]) & (u > self.u_edges[0])
-        out = np.zeros(len(s))
-        out[ok] = self.values[si[ok], ui[ok]]
-        return out
+        idx = _edges_below(self._s_search, np.asarray(s, dtype=float))
+        idx *= len(self.u_edges) + 1
+        idx += _edges_below(self._u_search, np.asarray(u, dtype=float))
+        return self._table.take(idx)
+
+    def to_config(self) -> dict:
+        return {"s_edges": self.s_edges.tolist(), "u_edges": self.u_edges.tolist(),
+                "values": self.values.tolist()}
 
     def l2_integral(self, a: float) -> float:
         """int_0^a ds int f(s,u)^2 du over the grid, s clipped at a."""
         s_len = np.clip(np.minimum(self.s_edges[1:], a) - self.s_edges[:-1], 0.0, None)
         u_len = np.diff(self.u_edges)
         return float(np.einsum("i,j,ij->", s_len, u_len, self.values ** 2))
+
+
+def _search_table(edges: np.ndarray) -> np.ndarray:
+    """Sorted edges padded with +inf to 2^k - 1 entries (_edges_below)."""
+    table = np.full(2 ** len(edges).bit_length() - 1, np.inf)
+    table[:len(edges)] = edges
+    return table
+
+
+def _edges_below(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of edges strictly below each x (0 for NaN): a branch-free
+    binary search, one vectorized probe per halving of the table."""
+    step = (len(table) + 1) // 2
+    count = np.multiply(x > table[step - 1], step, dtype=np.intp)
+    while step > 1:
+        step //= 2
+        above = x > table[step - 1:].take(count)
+        count += np.multiply(above, step, dtype=np.intp) if step > 1 else above
+    return count
 
 
 def indicator_box(a: float, u_max: float) -> GridFunction2D:
@@ -582,15 +618,12 @@ def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
         p = sample_path(mech, sub, path_index=_NS_NOISE + i)
         nodes = build_nodes(p)
         sc = scan_height(nodes, p.beta_eff)
-        run = running_local_time(nodes.times, sc.height, width)
+        lb = level_bins(nodes.times, sc.height, width)
+        run = running_local_time(nodes.times, sc.height, width, binned=lb)
         h_left = sc.height[:-1]
         fv = f(h_left, run[:-1]) * (h_left <= a_lvl)
-        # Brownian increments live on grid cells; jump pieces carry none
-        is_jump = nodes.piece_is_jump()
-        db = np.zeros(len(nodes.times) - 1)
-        db[~is_jump] = _cell_brownian(p, nodes)[~is_jump]
-        w_hat[i] = float((fv * db).sum())
-        prof = occupation_profile(nodes.times, sc.height, width, n_bins)
+        w_hat[i] = float((fv * _cell_brownian(p, nodes)).sum())
+        prof = occupation_profile(nodes.times, sc.height, width, n_bins, binned=lb)
         covered[i] = prof.min() >= u_max
 
     _for_each_path(m_paths, jobs, work)
@@ -627,7 +660,8 @@ def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
 
 def _cell_brownian(path: LevyPath, nodes) -> np.ndarray:
     """Brownian increment attributed to each node piece (time-proportional
-    split of the cell increment across sub-cell pieces)."""
+    split of the cell increment across sub-cell pieces; jump pieces carry
+    none)."""
     if not len(path.jumps):
         return path.brownian_increments
     dtimes = np.diff(nodes.times)
@@ -635,7 +669,9 @@ def _cell_brownian(path: LevyPath, nodes) -> np.ndarray:
     # inside cells (dyadic lattice keeps them away from the boundaries)
     cells = np.minimum(np.floor(nodes.times[:-1] / path.dt + 1e-9).astype(np.int64),
                        path.n_cells - 1)
-    return path.brownian_increments[cells] * (dtimes / path.dt)
+    db = path.brownian_increments[cells] * (dtimes / path.dt)
+    db[nodes.jump_post - 1] = 0.0
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +704,13 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
     covered = np.zeros((m_paths, len(boxes)), dtype=bool)
     prof_level = max(b.a[1] for b in boxes)
     prof_vals = np.full(m_paths, np.nan)
+    # profile bins each box's coverage reads, and the bin of prof_level
+    box_bins = []
+    for b in boxes:
+        lo = max(int(math.floor(b.a[0] / width)), 0)
+        box_bins.append((lo, max(lo + 1, int(round(b.a[1] / width)))))
+    j_level = int(round(prof_level / width))
+    n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
 
     def work(i: int) -> None:
         p = sample_path(mech, sub, path_index=_NS_POISSON + i, stop_level=x)
@@ -676,21 +719,18 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
             return
         nodes, _ = cut
         sc = scan_height(nodes, p.beta_eff)
-        run = running_local_time(nodes.times, sc.height, width)
+        lb = level_bins(nodes.times, sc.height, width)
+        run = running_local_time(nodes.times, sc.height, width, binned=lb)
+        prof = occupation_profile(nodes.times, sc.height, width, n_prof, binned=lb)
         hj = sc.height[nodes.jump_post]
         uj = run[nodes.jump_post]
         zj = nodes.jump_sizes
-        for b_idx, b in enumerate(boxes):
+        for b_idx, (b, (lo, hi)) in enumerate(zip(boxes, box_bins)):
             inside = ((hj > b.a[0]) & (hj <= b.a[1]) & (zj > b.z[0]) &
                       (zj <= b.z[1]) & (uj > b.u[0]) & (uj <= b.u[1]))
             counts[i, b_idx] = inside.sum()
-            lo = int(math.floor(b.a[0] / width))
-            hi = max(lo + 1, int(round(b.a[1] / width)))
-            prof = occupation_profile(nodes.times, sc.height, width, hi)
             covered[i, b_idx] = prof[lo:hi].min() >= b.u[1]
-        j = int(round(prof_level / width))
-        prof_full = occupation_profile(nodes.times, sc.height, width, j + 1)
-        prof_vals[i] = prof_full[j]
+        prof_vals[i] = prof[j_level]
 
     _for_each_path(m_paths, jobs, work)
     kept = ~np.isnan(counts[:, 0])
@@ -779,9 +819,7 @@ def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
             nodes = build_nodes(p)
             s_run = np.maximum.accumulate(nodes.values)
             r_vals = s_run - nodes.values
-            w = np.empty(len(nodes.times))
-            w[:-1] = np.diff(nodes.times)
-            w[-1] = 0.0
+            w = node_weights(nodes.times)
             lhs[i] = beta * float(w[r_vals < h_band].sum()) / h_band
             ds_sum = 0.0
             for jpost in nodes.jump_post:

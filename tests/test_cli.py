@@ -177,3 +177,83 @@ def test_dt_override_changes_the_grid(tmp_path):
     assert r.returncode == 0
     rows = (out / "path.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 100 + 1
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("theorem1", "horizon", float("inf")), ("noise", "dt", float("nan")),
+    ("tanaka", "paths", 1), ("example", "t", -1.0),
+    ("exponent_check", "paths", 2.5), ("poisson", "horizon", 0.0)])
+def test_bad_per_suite_size_exits_2(tmp_path, block, field, value):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {block: {field: value}}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert f"harness.{block}.{field}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_suite_horizon_must_exceed_its_step(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"harness": {"noise": {"dt": 0.5, "horizon": 0.25}}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert "harness.noise.horizon" in r.stderr
+
+
+@pytest.mark.parametrize("dts", [[1e-3, 3e-3], [1e-3, 1.5e-3], [2e-3, -1e-3]])
+def test_unusable_dts_ladder_exits_2(tmp_path, dts):
+    harness = dict(SMALL_VERIFY["harness"], dts=dts)
+    cfg = write_cfg(tmp_path, "c.json", dict(SMALL_VERIFY, harness=harness))
+    r = run_cli("verify", "theorem1", "--config", cfg, "--out", str(tmp_path / "v"))
+    assert r.returncode == 2
+    assert "harness.dts" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("f,field", [
+    (3, "harness.noise.f"),
+    ({"s_edges": [0.0, 1.0], "u_edges": [0.0, 1.0]}, "harness.noise.f"),
+    ({"s_edges": [0.0, 1.0, 1.0], "u_edges": [0.0, 1.0], "values": [[1.0], [1.0]]},
+     "harness.noise.f.s_edges"),
+    ({"s_edges": [0.0, 1.0], "u_edges": [1.0], "values": [[1.0]]},
+     "harness.noise.f.u_edges"),
+    ({"s_edges": [0.0, 1.0], "u_edges": [0.0, 1.0, 2.0], "values": [[1.0]]},
+     "harness.noise.f.values"),
+    ({"s_edges": [0.0, 1.0], "u_edges": [0.0, 1.0], "values": [["x"]]},
+     "harness.noise.f.values")])
+def test_bad_noise_function_exits_2(tmp_path, f, field):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {"noise": {"f": f}}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_noise_function_only_in_the_noise_block(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {"tanaka": {"f": None}}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert "harness.tanaka.f" in r.stderr
+
+
+def test_config_unit_box_writes_the_default_report(tmp_path):
+    noise = dict(SMALL_VERIFY["harness"]["noise"], paths=120)
+    box = {"s_edges": [0.0, 1.0], "u_edges": [0.0, 1.0], "values": [[1.0]]}
+    zero = dict(box, values=[[0.0]])
+    reports = []
+    for name, block in (("default", noise), ("box", dict(noise, f=box)),
+                        ("zero", dict(noise, f=zero))):
+        harness = dict(SMALL_VERIFY["harness"], noise=block)
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(SMALL_VERIFY, harness=harness))
+        out = tmp_path / name
+        r = run_cli("verify", "noise", "--config", cfg, "--out", str(out))
+        assert r.returncode in (0, 4), r.stderr
+        reports.append((out / "verify_noise.json").read_bytes())
+    assert reports[0] == reports[1]
+    variance = [c for c in json.loads(reports[2])["reports"][0]["cells"]
+                if c["name"] == "variance"][0]
+    assert variance["stat"] == 0.0 and variance["oracle"] == 0.0
+
+
+def test_jobs_defaults_to_one_thread():
+    from levyforest.cli import _build_parser
+    assert _build_parser().parse_args(["verify", "noise"]).jobs == 1

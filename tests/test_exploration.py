@@ -12,6 +12,7 @@ from levyforest.exploration import (
     scan_height,
     stack_at,
 )
+from levyforest.local_time import tanaka_local_time
 from levyforest.mechanism import PowerLawTail
 from levyforest.paths import (
     JumpSet,
@@ -218,6 +219,38 @@ def test_sweep_on_hand_built_nodes(case):
     half = scan_height(nodes, 0.5)
     assert np.array_equal(half.height, 2.0 * np.array(heights))
     assert np.array_equal(half.final_erosion, sc.final_erosion)
+
+
+def test_jumps_at_one_instant_pair_pre_and_post_vertices():
+    # two jumps at t = 1.5 (cell 1, frac 0.5): sizes 1 and 0.5 on top of a
+    # unit-step grid path with continuous increments 1, -1, -0.75, 1
+    jumps = JumpSet(times=np.array([1.5, 1.5]), sizes=np.array([1.0, 0.5]),
+                    pre_values=np.array([0.5, 1.5]), cells=np.array([1, 1]),
+                    fracs=np.array([0.5, 0.5]))
+    path = LevyPath(dt=1.0, values=np.array([0.0, 1.0, 1.5, 0.75, 1.75]),
+                    brownian_increments=np.array([1.0, -1.0, -0.75, 1.0]),
+                    jumps=jumps, applied_drift=0.0, gaussian_coeff=1.0)
+    assert path.reconstruction_residual() == 0.0
+    nodes = build_nodes(path)
+    assert nodes.times.tolist() == [0.0, 1.0, 1.5, 1.5, 1.5, 1.5, 2.0, 3.0, 4.0]
+    assert nodes.values.tolist() == [0.0, 1.0, 0.5, 1.5, 1.5, 2.0, 1.5, 0.75, 1.75]
+    assert nodes.kinds.tolist() == [0, 0, 1, 2, 1, 2, 0, 0, 0]
+    assert nodes.jump_post.tolist() == [3, 5]
+    assert nodes.grid_index.tolist() == [0, 1, 6, 7, 8]
+    assert nodes.piece_is_jump().tolist() == [False, False, True, False, True,
+                                              False, False, False]
+    # by hand: both atoms sit at height 0.5; the descent to 0.75 erodes the
+    # second atom and 0.75 of the first, and the last cell climbs 1
+    heights = [0.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.5]
+    for engine in (scan_height, direct_height):
+        sc = engine(nodes, 1.0)
+        assert sc.height.tolist() == heights, engine.__name__
+        assert sc.final_erosion.tolist() == [0.25, 0.0], engine.__name__
+    sc = scan_height(nodes, 1.0)
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
+        plus = tanaka_local_time(sc, a, "plus")
+        minus = tanaka_local_time(sc, a, "minus")
+        assert abs(plus - minus) <= 1e-12, a
 
 
 def test_sweep_on_jump_free_nodes_is_the_reflected_path():

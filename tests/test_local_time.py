@@ -10,6 +10,7 @@ from levyforest.local_time import (
     bin_of,
     default_level_width,
     jump_erosion_residual,
+    level_bins,
     occupation_below,
     occupation_local_time,
     occupation_profile,
@@ -83,6 +84,71 @@ def test_running_local_time_is_exclusive_and_matches_field():
         if b >= 0:
             assert run[i] == pytest.approx(field.values[i, b], abs=1e-12)
     assert run[0] == 0.0
+
+
+# -- local-time kernels against per-vertex loops -----------------------------------
+
+def _naive_running(times, heights, width):
+    """Occupation of H_i's bin strictly before vertex i, one vertex at a time."""
+    occ = {}
+    out = np.zeros(len(times))
+    for i, h in enumerate(heights):
+        if h <= 0.0:
+            continue
+        b = math.ceil(h / width) - 1
+        out[i] = occ.get(b, 0.0) / width
+        occ[b] = occ.get(b, 0.0) + (times[i + 1] - times[i] if i + 1 < len(times) else 0.0)
+    return out, occ
+
+
+def _assert_kernels_match_loop(times, heights, width):
+    run = running_local_time(times, heights, width)
+    naive, occ = _naive_running(times, heights, width)
+    scale = max(1.0, float(np.abs(naive).max()))
+    assert np.max(np.abs(run - naive)) <= 1e-12 * scale
+    n_bins = max(occ) + 1
+    for nb in (n_bins, max(n_bins // 2, 1)):
+        prof = occupation_profile(times, heights, width, nb)
+        want = np.array([occ.get(b, 0.0) for b in range(nb)]) / width
+        assert np.max(np.abs(prof - want)) <= 1e-12 * max(1.0, float(want.max()))
+    # one binning shared by both kernels gives the same bits
+    lb = level_bins(times, heights, width)
+    assert np.array_equal(running_local_time(times, heights, width, binned=lb), run)
+    assert np.array_equal(occupation_profile(times, heights, width, n_bins, binned=lb),
+                          occupation_profile(times, heights, width, n_bins))
+    return lb
+
+
+def test_running_local_time_hand_case():
+    # dyadic heights and width; vertex 1 is a zero-weight pre-jump vertex
+    times = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    heights = np.array([0.0, 0.5, 0.5, 0.0, 0.375, 0.5, 0.75])
+    run = running_local_time(times, heights, 0.25)
+    assert run.tolist() == [0.0, 0.0, 0.0, 0.0, 4.0, 8.0, 0.0]
+    assert occupation_profile(times, heights, 0.25, 3).tolist() == [0.0, 12.0, 0.0]
+    _assert_kernels_match_loop(times, heights, 0.25)
+
+
+def test_running_local_time_matches_loop_on_jump_path():
+    p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=3.0, seed=21), path_index=1)
+    nodes = build_nodes(p)
+    sc = scan_height(nodes, p.beta_eff)
+    pre = nodes.jump_post - 1
+    assert (sc.height == 0.0).sum() >= 10              # vertices at H = 0
+    assert (sc.height[pre] > 0.0).sum() >= 2           # binned zero-weight vertices
+    assert (np.diff(nodes.times)[pre] == 0.0).all()
+    keys = [_assert_kernels_match_loop(nodes.times, sc.height, width).key.dtype
+            for width in (0.05, 0.0125)]
+    assert keys == [np.uint8, np.uint16]               # up to 255 bins, then more
+
+
+def test_running_local_time_matches_loop_with_a_wide_key():
+    p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=4.0, seed=22), path_index=0)
+    nodes = build_nodes(p)
+    sc = scan_height(nodes, p.beta_eff)
+    width = float(sc.height.max()) / 70000.0           # more bins than a uint16 holds
+    lb = _assert_kernels_match_loop(nodes.times, sc.height, width)
+    assert lb.key.dtype == np.uint32 and lb.top > 65535
 
 
 def test_occupation_below_trivials_and_consistency():

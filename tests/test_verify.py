@@ -86,6 +86,37 @@ def test_grid_function_l2_integral():
     assert box(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 1.0])).tolist() == [0.0, 0.0, 1.0]
 
 
+def _searchsorted_lookup(f, s, u):
+    """The two-searchsorted form of GridFunction2D evaluation."""
+    si = np.searchsorted(f.s_edges, s, side="left") - 1
+    ui = np.searchsorted(f.u_edges, u, side="left") - 1
+    ok = ((si >= 0) & (si < f.values.shape[0]) & (ui >= 0) & (ui < f.values.shape[1])
+          & (s > f.s_edges[0]) & (u > f.u_edges[0]))
+    out = np.zeros(len(s))
+    out[ok] = f.values[si[ok], ui[ok]]
+    return out
+
+
+@pytest.mark.parametrize("n_s,n_u", [(1, 1), (3, 2), (4, 7), (40, 33)])
+def test_grid_function_lookup_matches_searchsorted(n_s, n_u):
+    rng = np.random.default_rng(n_s * 100 + n_u)
+    s_edges = np.cumsum(rng.random(n_s + 1) + 0.1) - 0.5
+    u_edges = np.cumsum(rng.random(n_u + 1) + 0.1) - 1.0
+    f = GridFunction2D(s_edges, u_edges, rng.normal(size=(n_s, n_u)))
+    special = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0])
+    s_pts = np.concatenate((s_edges, [s_edges[0] - 1.0, s_edges[-1] + 1.0], special,
+                            rng.uniform(s_edges[0] - 1, s_edges[-1] + 1, 500)))
+    u_pts = np.concatenate((u_edges, [u_edges[0] - 1.0, u_edges[-1] + 1.0], special,
+                            rng.uniform(u_edges[0] - 1, u_edges[-1] + 1, 500)))
+    # every s point against every u point: exact edges, below the first edge,
+    # above the last, NaN and infinities on either axis
+    s_grid, u_grid = (a.ravel() for a in np.meshgrid(s_pts, u_pts))
+    got = f(s_grid, u_grid)
+    want = _searchsorted_lookup(f, s_grid, u_grid)
+    assert got.tobytes() == want.tobytes()
+    assert (got[np.isnan(s_grid) | np.isnan(u_grid)] == 0.0).all()
+
+
 def test_poisson_empty_z_range_counts_nothing():
     h = dict(SMALL)
     h["boxes"] = [{"a": [0.0, 0.5], "z": [5.0, 6.0], "u": [0.0, 0.5]}]
