@@ -13,13 +13,8 @@ from .mechanism import (
     BranchingMechanism,
     JumpMeasure,
     PowerLawTail,
-    cb_laplace,
-    cb_mean,
-    grey_holds,
     mechanism_from_config,
     mechanism_to_config,
-    psi,
-    v,
 )
 from .paths import LevyPath, SimConfig, sample_path
 
@@ -32,11 +27,6 @@ __all__ = [
     "ExplorationStack",
     "LevyPath",
     "SimConfig",
-    "psi",
-    "v",
-    "grey_holds",
-    "cb_laplace",
-    "cb_mean",
     "mechanism_from_config",
     "mechanism_to_config",
     "sample_path",

@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--paths", type=int, default=None, help="override path count")
     common.add_argument("--dt", type=float, default=None, help="override grid step")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads (default 1; results are jobs-independent)")
+                        help="worker processes for verify (default 1: run in this "
+                             "process; results are jobs-independent)")
     common.add_argument("--negative-control", action="store_true",
                         help="perturb the oracle drift by +0.3 (must fail)")
 
@@ -176,6 +177,8 @@ def _cmd_verify(run: RunConfig, suite: str, out: str, jobs: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigurationError("--jobs: must be >= 1")
         run = _apply_overrides(load_run_config(args.config), args)
         if args.command == "mechanism":
             return _cmd_mechanism_info(run)
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             code = _cmd_simulate(run, args.kind, out)
         else:
-            code = _cmd_verify(run, args.suite, out, max(1, args.jobs))
+            code = _cmd_verify(run, args.suite, out, args.jobs)
         print(f"elapsed: {time.time() - t0:.1f}s", file=sys.stderr)
         return code
     except ConfigurationError as exc:

@@ -87,6 +87,10 @@ class RunConfig:
 _NUMERIC_LISTS = ("levels", "lambdas", "dts", "residual_levels")
 _SUB_BLOCKS = ("theorem1", "tanaka", "noise", "poisson", "reflected",
                "example", "exponent_check")
+# per-suite numbers that must be finite and > 0, besides dt, horizon and t
+_POSITIVE = {"noise": ("a", "u_max", "level_width"),
+             "poisson": ("x", "level_width"),
+             "reflected": ("band_mult",)}
 
 
 def _validate_harness(h: dict) -> dict:
@@ -123,6 +127,8 @@ def _validate_harness(h: dict) -> dict:
         raise ConfigurationError("harness.paths: must exceed 1")
     if out["x"] < 0:
         raise ConfigurationError("harness.x: must be >= 0")
+    if out["level_width"] is not None:
+        out["level_width"] = _number(out["level_width"], "harness.level_width")
     for block in _SUB_BLOCKS:
         _validate_sizes(block, out[block])
     _validate_dts(out)
@@ -151,8 +157,9 @@ def _number(val, name: str) -> float:
 
 
 def _validate_sizes(block: str, sub: dict) -> None:
-    """Path counts, steps and horizons of one per-suite block."""
-    for key in ("dt", "horizon", "t"):
+    """Path counts, steps, horizons and other positive numbers of one
+    per-suite block."""
+    for key in ("dt", "horizon", "t") + _POSITIVE.get(block, ()):
         if key in sub:
             sub[key] = _number(sub[key], f"harness.{block}.{key}")
     if "paths" in sub:

@@ -210,10 +210,6 @@ class HeightScan:
     def grid_height(self) -> np.ndarray:
         return self.height[self.nodes.grid_index]
 
-    def jump_heights(self) -> np.ndarray:
-        """H at each jump time (the height the atom was pushed at)."""
-        return self.height[self.nodes.jump_post]
-
 
 def scan_height(nodes: Nodes, beta: float) -> HeightScan:
     """Height trajectory by one forward sweep of the exploration stack.

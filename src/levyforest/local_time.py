@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
 from .exploration import HeightScan, scan_height
 from .paths import LevyPath, build_nodes, node_weights, truncate_at_level
 

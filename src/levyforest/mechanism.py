@@ -22,10 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import ConfigurationError
 
@@ -33,11 +31,6 @@ __all__ = [
     "PowerLawTail",
     "JumpMeasure",
     "BranchingMechanism",
-    "psi",
-    "v",
-    "grey_holds",
-    "cb_laplace",
-    "cb_mean",
     "mechanism_from_config",
     "mechanism_to_config",
 ]
@@ -61,8 +54,11 @@ def _upper_gamma(a: float, x: float) -> float:
     """Unnormalised upper incomplete gamma for a in (-2, 0), x > 0.
 
     Descends from the positive-parameter regularised function via the
-    recurrence Gamma(a, x) = (Gamma(a+1, x) - x**a * exp(-x)) / a.
+    recurrence Gamma(a, x) = (Gamma(a+1, x) - x**a * exp(-x)) / a.  scipy is
+    imported here, so only power-law tails load it.
     """
+    from scipy.special import gammaincc
+
     g = gammaincc(a + 2.0, x) * math.gamma(a + 2.0)
     g = (g - x ** (a + 1.0) * math.exp(-x)) / (a + 1.0)
     return (g - x ** a * math.exp(-x)) / a
@@ -337,39 +333,14 @@ class BranchingMechanism:
     def grey_holds(self) -> bool:
         """Whether int^inf du/psi(u) is finite.
 
-        Decided symbolically for the supported measure shapes; quadrature
-        alone cannot distinguish slow divergence from convergence, so the
-        numeric tail probe is only a fallback for odd combinations.
+        Decided symbolically for the supported measure shapes (quadrature
+        alone cannot distinguish slow divergence from convergence): with
+        beta > 0, or a power law reaching down to 0, psi(u) grows like u**2
+        or u**sigma with sigma > 1; otherwise the compensated-jump integral
+        is asymptotically linear, int (e^{-uz}-1+uz) pi(dz) ~ u * int z pi(dz).
         """
-        if self.beta > 0.0:
-            return True
         pl = self.jumps.power_law
-        if pl is not None and pl.z_min == 0.0:
-            # psi(u) grows like u**sigma with sigma > 1
-            return True
-        if pl is None or pl.z_min > 0.0:
-            # compensated-jump integral is asymptotically linear: for large u,
-            # int (e^{-uz}-1+uz) pi(dz) ~ u * int z pi(dz) - pi-mass terms
-            return False
-        return self._grey_numeric_probe()
-
-    def _grey_numeric_probe(self) -> bool:
-        total = 0.0
-        prev_inc = None
-        lo = 1.0
-        for _ in range(14):
-            hi = lo * 10.0
-            grid = np.geomspace(lo, hi, 64)
-            vals = 1.0 / np.array([self.psi(u) for u in grid])
-            inc = float(np.trapezoid(vals, grid))
-            total += inc
-            if prev_inc is not None and inc > 0.9 * prev_inc:
-                return False            # per-decade contribution not shrinking
-            if inc < 1e-9 * max(total, 1e-300):
-                return True
-            prev_inc = inc
-            lo = hi
-        return True
+        return self.beta > 0.0 or (pl is not None and pl.z_min == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,30 +381,6 @@ def _integrate_flow(psi_fn, t_end: float, v0: float, rtol: float, atol: float) -
         ratio = (scale / err) ** 0.2 if err > 0.0 else 4.0
         h = max(h * min(4.0, max(0.1, 0.9 * ratio)), h_min)
     return min(max(y, 0.0), v0)
-
-
-# ---------------------------------------------------------------------------
-# functional aliases (module-level spellings of the mechanism operations)
-# ---------------------------------------------------------------------------
-
-def psi(mech: BranchingMechanism, lam: float) -> float:
-    return mech.psi(lam)
-
-
-def v(mech: BranchingMechanism, t: float, lam: float) -> float:
-    return mech.v(t, lam)
-
-
-def grey_holds(mech: BranchingMechanism) -> bool:
-    return mech.grey_holds()
-
-
-def cb_laplace(mech: BranchingMechanism, x: float, t: float, lam: float) -> float:
-    return mech.cb_laplace(x, t, lam)
-
-
-def cb_mean(mech: BranchingMechanism, x: float, t: float) -> float:
-    return mech.cb_mean(x, t)
 
 
 # ---------------------------------------------------------------------------

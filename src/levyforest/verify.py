@@ -8,6 +8,14 @@ every cell passes, and serializes to JSON byte-identically for a given
 (config, seed) regardless of worker count (per-path statistics are stored by
 path index and reduced in fixed order; no wall-clock data enters a report).
 
+Per-path work lives in module-level functions, fn(spec, i) -> tuple of
+statistics of path i, which a PathPool runs either in this process over
+every path (one job) or over contiguous index chunks in a pool of spawned
+worker processes; path streams are keyed on (seed, path index), so the
+split never changes a number.  One pool serves every suite of a verify
+command and also holds the path-exponent values, which suites sharing a
+mechanism then simulate once.
+
 Tolerances follow one scheme throughout: three standard errors of the Monte
 Carlo statistic plus an explicit discretization budget proportional to the
 oracle (budgets are configuration, not derived claims).  Every suite also
@@ -20,9 +28,9 @@ oracle drift, which is what the negative-control mode perturbs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +71,7 @@ __all__ = [
     "poisson_marks_report",
     "reflected_supremum_report",
     "brownian_example_report",
+    "PathPool",
     "SUITES",
     "run_suite",
 ]
@@ -143,6 +152,14 @@ def _gap_cell(name: str, params: dict, stat: float, oracle: float,
                      passed=bool(abs(stat - oracle) <= tol))
 
 
+def _monotone_cells(name: str, dts: list[float], dev: list[float]) -> list[CheckCell]:
+    """One cell per step of the dt ladder: dev must decrease strictly."""
+    return [CheckCell(name=name, params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
+                      stat=dev[j] - dev[j + 1], oracle=0.0, stderr=0.0, tol=math.inf,
+                      passed=dev[j] > dev[j + 1], note="requires strict decrease")
+            for j in range(len(dev) - 1)]
+
+
 def _echo(mech: BranchingMechanism, cfg: SimConfig, oracle: BranchingMechanism,
           extra: dict) -> dict:
     out = {
@@ -155,41 +172,91 @@ def _echo(mech: BranchingMechanism, cfg: SimConfig, oracle: BranchingMechanism,
 
 
 # ---------------------------------------------------------------------------
-# parallel per-path driver
+# per-path runner
 # ---------------------------------------------------------------------------
 
-def _for_each_path(m_paths: int, jobs: int, work) -> None:
-    """Run work(i) for i in range(m_paths); results must be written into
-    caller-owned arrays by index, which keeps any schedule equivalent."""
-    if jobs <= 1:
-        for i in range(m_paths):
-            work(i)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        step = max(1, m_paths // (jobs * 8))
-        list(pool.map(work, range(m_paths), chunksize=step))
+CHUNKS_PER_WORKER = 4       # contiguous chunks per worker: path costs are heavy-tailed
+
+
+def _chunk(fn, spec, lo: int, hi: int) -> tuple:
+    """The rows fn(spec, i) of the paths lo..hi-1, stacked field by field."""
+    return tuple(np.array(col) for col in zip(*(fn(spec, i) for i in range(lo, hi))))
+
+
+class PathPool:
+    """Runs a per-path function fn(spec, i) -> tuple of statistics over the
+    paths [0, m) and returns one array per statistic, rows in path order.
+
+    With one job the whole range is one _chunk in this process.  With more,
+    [0, m) is cut into contiguous chunks for a pool of spawned worker
+    processes, built at the first map and shut down when the with block
+    ends; it spawns workers on demand, so never more than the chunks it
+    has been given.
+    """
+
+    def __init__(self, jobs: int = 1):
+        self.jobs = jobs
+        self._executor = None
+        self.exponent_values: dict = {}     # (mechanism, sim config, step k, paths) -> X_t
+
+    def __enter__(self) -> PathPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def map(self, fn, spec, m: int) -> tuple:
+        if self.jobs == 1:
+            return _chunk(fn, spec, 0, m)
+        if self._executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(
+                self.jobs, mp_context=multiprocessing.get_context("spawn"))
+        n = min(m, CHUNKS_PER_WORKER * self.jobs)
+        bounds = [m * c // n for c in range(n + 1)]
+        futures = [self._executor.submit(_chunk, fn, spec, lo, hi)
+                   for lo, hi in zip(bounds, bounds[1:])]
+        parts = [fut.result() for fut in futures]      # re-raises a worker's error
+        return tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
+def _pooled(suite):
+    """Run a suite on the PathPool passed as pool=, or on its own pool of
+    jobs= workers, closed when the suite returns."""
+    @functools.wraps(suite)
+    def run(*args, jobs: int = 1, pool: PathPool | None = None, **kwargs):
+        if pool is not None:
+            return suite(*args, pool=pool, **kwargs)
+        with PathPool(jobs) as own:
+            return suite(*args, pool=own, **kwargs)
+    return run
 
 
 # ---------------------------------------------------------------------------
 # path-exponent health cells (shared by every suite)
 # ---------------------------------------------------------------------------
 
+def _exponent_row(spec, i: int) -> tuple:
+    """X_t of path i."""
+    mech, cfg, k = spec
+    return (sample_path(mech, cfg, path_index=_NS_EXPONENT + i).values[k],)
+
+
 def _exponent_cells(mech: BranchingMechanism, oracle: BranchingMechanism,
-                    cfg: SimConfig, spec: dict, jobs: int) -> list[CheckCell]:
+                    cfg: SimConfig, spec: dict, pool: PathPool) -> list[CheckCell]:
     m = int(spec.get("paths", 2000))
     t = float(spec.get("t", 2.0))
     dt = float(spec.get("dt", 0.01))
     lambdas = list(spec.get("lambdas", (0.5, 1.0)))
     sub = SimConfig(dt=dt, horizon=t + dt, truncation_delta=cfg.truncation_delta,
                     small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
-    k = int(round(t / dt))
-    vals = np.empty(m)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, sub, path_index=_NS_EXPONENT + i)
-        vals[i] = p.values[k]
-
-    _for_each_path(m, jobs, work)
+    key = (mech, sub, int(round(t / dt)), m)
+    if key not in pool.exponent_values:             # once per pool, not per suite
+        pool.exponent_values[key], = pool.map(_exponent_row, key[:3], m)
+    vals = pool.exponent_values[key]
     corr = cfg.small_jump_mode == "gaussian_correction"
     cells = []
     for lam in lambdas:
@@ -286,9 +353,22 @@ class MarkBox:
 # suite 1: first-passage local-time profile vs branching laws
 # ---------------------------------------------------------------------------
 
+def _ray_knight_row(spec, i: int) -> tuple:
+    """Local-time profile of stopped path i at the levels (NaN if it misses -x)."""
+    mech, cfg, x, width, n_bins, bins = spec
+    p = sample_path(mech, cfg, path_index=i, stop_level=x)
+    cut = truncate_at_level(build_nodes(p), x)
+    if cut is None:
+        return (np.full(len(bins), np.nan),)
+    nodes, _ = cut
+    sc = scan_height(nodes, p.beta_eff)
+    return (occupation_profile(nodes.times, sc.height, width, n_bins)[bins],)
+
+
+@_pooled
 def ray_knight_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                      oracle: BranchingMechanism | None = None,
-                      jobs: int = 1) -> MonteCarloReport:
+                      oracle: BranchingMechanism | None = None, *,
+                      pool: PathPool) -> MonteCarloReport:
     """Three-way comparison at each (level, lam): the Laplace transform of the
     stopped path's local-time profile, the empirical branching simulation, and
     the exact transition law exp(-x * v_a(lam))."""
@@ -306,21 +386,9 @@ def ray_knight_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
     width = harness.get("level_width") or aligned_level_width(
         0.8 * cfg.dt ** (1.0 / 3.0), levels)
     n_bins = int(round(max(levels) / width)) + 1
-    level_bins = [int(round(a / width)) for a in levels]
+    bins = [int(round(a / width)) for a in levels]
 
-    prof = np.full((m_paths, len(levels)), np.nan)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, cfg, path_index=i, stop_level=x)
-        cut = truncate_at_level(build_nodes(p), x)
-        if cut is None:
-            return
-        nodes, _ = cut
-        sc = scan_height(nodes, p.beta_eff)
-        pr = occupation_profile(nodes.times, sc.height, width, n_bins)
-        prof[i] = pr[level_bins]
-
-    _for_each_path(m_paths, jobs, work)
+    prof, = pool.map(_ray_knight_row, (mech, cfg, x, width, n_bins, bins), m_paths)
     kept = ~np.isnan(prof[:, 0])
     discarded = int(m_paths - kept.sum())
     P = prof[kept]
@@ -364,7 +432,7 @@ def ray_knight_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                          lap_budget * exact))
 
     cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), jobs))
+                                 harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -372,33 +440,51 @@ def ray_knight_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
 # suite 2: first-passage representation residual across a dt ladder
 # ---------------------------------------------------------------------------
 
-def _residual_row(nodes, scan, profile, width, x, levels) -> np.ndarray:
-    """profile(a) - x - sum of 1{H_left <= a} * piece increments, per level."""
+def _residual_and_profile(path: LevyPath, x: float, levels, width: float):
+    """For the path stopped at -x: per level, profile(a) - x - sum of
+    1{H_left <= a} * piece increments, and profile(a); None when the path
+    never reaches -x."""
+    cut = truncate_at_level(build_nodes(path), x)
+    if cut is None:
+        return None
+    nodes, _ = cut
+    height = scan_height(nodes, path.beta_eff).height
+    n_bins = int(round(max(levels) / width)) + 1
+    prof = occupation_profile(nodes.times, height, width, n_bins)[
+        [int(round(a / width)) for a in levels]]
     d = np.diff(nodes.values)
-    h_left = scan.height[:-1]
-    return np.array([profile[int(round(a / width))] - x - d[h_left <= a].sum()
-                     for a in levels])
+    return np.array([pa - x - d[height[:-1] <= a].sum() for a, pa in zip(levels, prof)]), prof
 
 
 def theorem1_residual(path: LevyPath, x: float, levels,
                       width: float | None = None) -> np.ndarray | None:
     """Per-level residual of the stopped-path representation for one path,
     or None when the path never reaches -x."""
-    cut = truncate_at_level(build_nodes(path), x)
-    if cut is None:
-        return None
-    nodes, _ = cut
-    sc = scan_height(nodes, path.beta_eff)
     if width is None:
         width = aligned_level_width(0.8 * path.dt ** (1.0 / 3.0), levels)
-    n_bins = int(round(max(levels) / width)) + 1
-    pr = occupation_profile(nodes.times, sc.height, width, n_bins)
-    return _residual_row(nodes, sc, pr, width, x, levels)
+    out = _residual_and_profile(path, x, levels, width)
+    return None if out is None else out[0]
 
 
+def _theorem1_row(spec, i: int) -> tuple:
+    """Residual of path i at each rung and level, and the finest (last)
+    rung's profile at each level; NaN if a rung stops short of -x."""
+    mech, cfg, x, levels, ratios, widths = spec
+    p = sample_path(mech, cfg, path_index=_NS_THEOREM1 + i,
+                    stop_level=x, stop_grid_ratio=max(ratios))
+    res = np.empty((len(ratios), len(levels)))
+    for r_idx, (ratio, width) in enumerate(zip(ratios, widths)):
+        out = _residual_and_profile(coarsen_path(p, ratio), x, levels, width)
+        if out is None:                     # a rung misses within horizon => drop
+            return np.full_like(res, np.nan), np.full(len(levels), np.nan)
+        res[r_idx], prof = out
+    return res, prof
+
+
+@_pooled
 def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                    oracle: BranchingMechanism | None = None,
-                    jobs: int = 1) -> MonteCarloReport:
+                    oracle: BranchingMechanism | None = None, *,
+                    pool: PathPool) -> MonteCarloReport:
     """Residual of the stopped-path identity: the local-time profile at level
     a must equal x plus the left-point stochastic integral of 1{H <= a}
     against the path, with |mean residual| shrinking along the dt ladder."""
@@ -420,31 +506,9 @@ def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                          truncation_delta=cfg.truncation_delta,
                          small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
 
-    res = np.full((len(ratios), m_paths, len(levels)), np.nan)
-    prof_fine = np.full((m_paths, len(levels)), np.nan)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, fine_cfg, path_index=_NS_THEOREM1 + i,
-                        stop_level=x, stop_grid_ratio=max(ratios))
-        rows = np.empty((len(ratios), len(levels)))
-        fine_row = None
-        for r_idx, ratio in enumerate(ratios):
-            q = coarsen_path(p, ratio)
-            cut = truncate_at_level(build_nodes(q), x)
-            if cut is None:
-                return                      # a rung misses within horizon => drop
-            nodes, _ = cut
-            sc = scan_height(nodes, q.beta_eff)
-            width = widths[r_idx]
-            n_bins = int(round(max(levels) / width)) + 1
-            pr = occupation_profile(nodes.times, sc.height, width, n_bins)
-            rows[r_idx] = _residual_row(nodes, sc, pr, width, x, levels)
-            if ratio == 1:
-                fine_row = pr[[int(round(a / width)) for a in levels]]
-        res[:, i, :] = rows
-        prof_fine[i] = fine_row
-
-    _for_each_path(m_paths, jobs, work)
+    res, prof_fine = pool.map(_theorem1_row,
+                              (mech, fine_cfg, x, levels, ratios, widths), m_paths)
+    res = np.ascontiguousarray(res.swapaxes(0, 1))     # (rung, path, level), C order
     kept = ~np.isnan(res[0, :, 0])
     discarded = int(m_paths - kept.sum())
 
@@ -470,13 +534,7 @@ def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
             name="abs_mean_residual", params={"dt": dt}, stat=d_val, oracle=0.0,
             stderr=se, tol=tol, passed=d_val <= tol,
             note="gate applies at the finest dt" if not final else ""))
-    for j in range(len(dev) - 1):
-        cells.append(CheckCell(
-            name="residual_monotone_decrease",
-            params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
-            stat=dev[j] - dev[j + 1], oracle=0.0, stderr=0.0, tol=math.inf,
-            passed=dev[j] > dev[j + 1],
-            note="requires strict decrease"))
+    cells.extend(_monotone_cells("residual_monotone_decrease", dts, dev))
 
     Pf = prof_fine[kept]
     for k, a in enumerate(levels):
@@ -488,7 +546,7 @@ def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                                float(harness.get("mean_budget", 0.02)) * mo))
 
     cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), jobs))
+                                 harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -496,9 +554,28 @@ def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
 # suite 3: Tanaka estimates vs occupation estimates across the dt ladder
 # ---------------------------------------------------------------------------
 
+def _tanaka_row(spec, i: int) -> tuple:
+    """Occupation and Tanaka (plus) local time of path i at each rung and
+    level, and its largest plus/minus gap."""
+    mech, cfg, levels, ratios, widths = spec
+    p = sample_path(mech, cfg, path_index=_NS_TANAKA + i)
+    occ, tan, gap = [], [], 0.0
+    for ratio, width in zip(ratios, widths):
+        nodes = build_nodes(coarsen_path(p, ratio))
+        sc = scan_height(nodes, p.beta_eff)
+        n_bins = int(round(max(levels) / width)) + 1
+        pr = occupation_profile(nodes.times, sc.height, width, n_bins)
+        occ.append(pr[[int(round(a / width)) for a in levels]])
+        tan.append([tanaka_local_time(sc, a, "plus") for a in levels])
+        minus = [tanaka_local_time(sc, a, "minus") for a in levels]
+        gap = max([gap] + [abs(pl - mi) for pl, mi in zip(tan[-1], minus)])
+    return occ, tan, gap
+
+
+@_pooled
 def tanaka_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                  oracle: BranchingMechanism | None = None,
-                  jobs: int = 1) -> MonteCarloReport:
+                  oracle: BranchingMechanism | None = None, *,
+                  pool: PathPool) -> MonteCarloReport:
     if mech.beta <= 0.0:
         raise PreconditionError("tanaka suite requires beta > 0")
     oracle = oracle or mech
@@ -514,29 +591,10 @@ def tanaka_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                          truncation_delta=cfg.truncation_delta,
                          small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
 
-    occ = np.empty((len(ratios), m_paths, len(levels)))
-    tan = np.empty((len(ratios), m_paths, len(levels)))
-    pm_gap = np.zeros(m_paths)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, fine_cfg, path_index=_NS_TANAKA + i)
-        gap = 0.0
-        for r_idx, ratio in enumerate(ratios):
-            q = coarsen_path(p, ratio)
-            nodes = build_nodes(q)
-            sc = scan_height(nodes, q.beta_eff)
-            width = widths[r_idx]
-            n_bins = int(round(max(levels) / width)) + 1
-            pr = occupation_profile(nodes.times, sc.height, width, n_bins)
-            for k, a in enumerate(levels):
-                plus = tanaka_local_time(sc, a, "plus")
-                minus = tanaka_local_time(sc, a, "minus")
-                gap = max(gap, abs(plus - minus))
-                occ[r_idx, i, k] = pr[int(round(a / width))]
-                tan[r_idx, i, k] = plus
-        pm_gap[i] = gap
-
-    _for_each_path(m_paths, jobs, work)
+    occ, tan, pm_gap = pool.map(_tanaka_row,
+                                (mech, fine_cfg, levels, ratios, widths), m_paths)
+    # (rung, path, level) in C order, the layout the sums below were written for
+    occ, tan = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (occ, tan))
 
     report = MonteCarloReport(
         check="tanaka", sample_size=m_paths,
@@ -558,19 +616,14 @@ def tanaka_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
             name="abs_mean_deviation", params={"dt": dt, "mean_local_time": mean_lt},
             stat=d_val, oracle=0.0, stderr=se, tol=tol, passed=d_val <= tol,
             note="gate: 5% of mean local time at the finest dt" if final else ""))
-    for j in range(len(dev) - 1):
-        cells.append(CheckCell(
-            name="deviation_monotone_decrease",
-            params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
-            stat=dev[j] - dev[j + 1], oracle=0.0, stderr=0.0, tol=math.inf,
-            passed=dev[j] > dev[j + 1], note="requires strict decrease"))
+    cells.extend(_monotone_cells("deviation_monotone_decrease", dts, dev))
     worst_pm = float(pm_gap.max())
     cells.append(CheckCell(
         name="plus_minus_pathwise", params={}, stat=worst_pm, oracle=0.0,
         stderr=0.0, tol=1e-9, passed=worst_pm <= 1e-9,
         note="algebraic identity of the two variants"))
     cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), jobs))
+                                 harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -589,9 +642,25 @@ def _ladder_widths(dts, levels) -> list[float]:
 # suite 4: time-space white-noise reconstruction
 # ---------------------------------------------------------------------------
 
+def _noise_row(spec, i: int) -> tuple:
+    """The noise integral of path i below level a, and whether its profile
+    covers u_max there."""
+    mech, cfg, f, a_lvl, u_max, width, n_bins = spec
+    p = sample_path(mech, cfg, path_index=_NS_NOISE + i)
+    nodes = build_nodes(p)
+    sc = scan_height(nodes, p.beta_eff)
+    lb = level_bins(nodes.times, sc.height, width)
+    run = running_local_time(nodes.times, sc.height, width, binned=lb)
+    h_left = sc.height[:-1]
+    fv = f(h_left, run[:-1]) * (h_left <= a_lvl)
+    prof = occupation_profile(nodes.times, sc.height, width, n_bins, binned=lb)
+    return float((fv * _cell_brownian(p, nodes)).sum()), prof.min() >= u_max
+
+
+@_pooled
 def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                       oracle: BranchingMechanism | None = None,
-                       jobs: int = 1) -> MonteCarloReport:
+                       oracle: BranchingMechanism | None = None, *,
+                       pool: PathPool) -> MonteCarloReport:
     """The stochastic integral of f(H_s, L_s(H_s)) against the Brownian part,
     restricted to heights below a, must be centered Gaussian with variance
     int_0^a ds int f(s,u)^2 du once the local-time profile has outgrown the
@@ -611,22 +680,8 @@ def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                     small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
     n_bins = max(1, int(round(a_lvl / width)))
 
-    w_hat = np.empty(m_paths)
-    covered = np.zeros(m_paths, dtype=bool)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, sub, path_index=_NS_NOISE + i)
-        nodes = build_nodes(p)
-        sc = scan_height(nodes, p.beta_eff)
-        lb = level_bins(nodes.times, sc.height, width)
-        run = running_local_time(nodes.times, sc.height, width, binned=lb)
-        h_left = sc.height[:-1]
-        fv = f(h_left, run[:-1]) * (h_left <= a_lvl)
-        w_hat[i] = float((fv * _cell_brownian(p, nodes)).sum())
-        prof = occupation_profile(nodes.times, sc.height, width, n_bins, binned=lb)
-        covered[i] = prof.min() >= u_max
-
-    _for_each_path(m_paths, jobs, work)
+    w_hat, covered = pool.map(_noise_row,
+                              (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
 
     mean = float(w_hat.mean())
     var = float(w_hat.var(ddof=1))
@@ -654,7 +709,7 @@ def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
                   note="fraction of paths whose profile exceeds u_max below a"),
     ])
     report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), jobs))
+                                        harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -678,9 +733,33 @@ def _cell_brownian(path: LevyPath, nodes) -> np.ndarray:
 # suite 5: Poisson mark statistics
 # ---------------------------------------------------------------------------
 
+def _poisson_row(spec, i: int) -> tuple:
+    """Mark count of stopped path i in each box, whether its profile covers
+    each box, and its profile at the top box level (NaN, not covered, NaN
+    if it misses -x)."""
+    mech, cfg, x, boxes, box_bins, width, n_prof, j_level = spec
+    p = sample_path(mech, cfg, path_index=_NS_POISSON + i, stop_level=x)
+    cut = truncate_at_level(build_nodes(p), x)
+    if cut is None:
+        return np.full(len(boxes), np.nan), np.zeros(len(boxes), dtype=bool), np.nan
+    nodes, _ = cut
+    sc = scan_height(nodes, p.beta_eff)
+    lb = level_bins(nodes.times, sc.height, width)
+    run = running_local_time(nodes.times, sc.height, width, binned=lb)
+    prof = occupation_profile(nodes.times, sc.height, width, n_prof, binned=lb)
+    hj = sc.height[nodes.jump_post]
+    uj = run[nodes.jump_post]
+    zj = nodes.jump_sizes
+    counts = [((hj > b.a[0]) & (hj <= b.a[1]) & (zj > b.z[0]) & (zj <= b.z[1])
+               & (uj > b.u[0]) & (uj <= b.u[1])).sum() for b in boxes]
+    covered = [prof[lo:hi].min() >= b.u[1] for b, (lo, hi) in zip(boxes, box_bins)]
+    return np.array(counts, dtype=float), np.array(covered), prof[j_level]
+
+
+@_pooled
 def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                         oracle: BranchingMechanism | None = None,
-                         jobs: int = 1) -> MonteCarloReport:
+                         oracle: BranchingMechanism | None = None, *,
+                         pool: PathPool) -> MonteCarloReport:
     """Jump marks (height, size, running local time at that height) of the
     stopped path, counted in boxes, behave like a unit-intensity Poisson
     measure in ds x pi(dz) x du on covered boxes."""
@@ -700,10 +779,7 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
     sub = SimConfig(dt=dt, horizon=horizon, truncation_delta=cfg.truncation_delta,
                     small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
 
-    counts = np.full((m_paths, len(boxes)), np.nan)
-    covered = np.zeros((m_paths, len(boxes)), dtype=bool)
     prof_level = max(b.a[1] for b in boxes)
-    prof_vals = np.full(m_paths, np.nan)
     # profile bins each box's coverage reads, and the bin of prof_level
     box_bins = []
     for b in boxes:
@@ -712,27 +788,8 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
     j_level = int(round(prof_level / width))
     n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
 
-    def work(i: int) -> None:
-        p = sample_path(mech, sub, path_index=_NS_POISSON + i, stop_level=x)
-        cut = truncate_at_level(build_nodes(p), x)
-        if cut is None:
-            return
-        nodes, _ = cut
-        sc = scan_height(nodes, p.beta_eff)
-        lb = level_bins(nodes.times, sc.height, width)
-        run = running_local_time(nodes.times, sc.height, width, binned=lb)
-        prof = occupation_profile(nodes.times, sc.height, width, n_prof, binned=lb)
-        hj = sc.height[nodes.jump_post]
-        uj = run[nodes.jump_post]
-        zj = nodes.jump_sizes
-        for b_idx, (b, (lo, hi)) in enumerate(zip(boxes, box_bins)):
-            inside = ((hj > b.a[0]) & (hj <= b.a[1]) & (zj > b.z[0]) &
-                      (zj <= b.z[1]) & (uj > b.u[0]) & (uj <= b.u[1]))
-            counts[i, b_idx] = inside.sum()
-            covered[i, b_idx] = prof[lo:hi].min() >= b.u[1]
-        prof_vals[i] = prof[j_level]
-
-    _for_each_path(m_paths, jobs, work)
+    counts, covered, prof_vals = pool.map(
+        _poisson_row, (mech, sub, x, boxes, box_bins, width, n_prof, j_level), m_paths)
     kept = ~np.isnan(counts[:, 0])
     discarded = int(m_paths - kept.sum())
     C = counts[kept]
@@ -775,7 +832,7 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
                            la.mean(), mo, se,
                            float(harness.get("mean_budget", 0.02)) * mo))
     cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), jobs))
+                                 harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -783,10 +840,25 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
 # suite 6: supremum vs local time of the reflected path
 # ---------------------------------------------------------------------------
 
+def _reflected_row(spec, i: int) -> tuple:
+    """beta times the band occupation near 0 of S - xi on path i, and its
+    supremum less the supremum's jump increases."""
+    mech, cfg, beta, h_band = spec
+    nodes = build_nodes(sample_path(mech, cfg, path_index=_NS_REFLECTED + i))
+    s_run = np.maximum.accumulate(nodes.values)
+    w = node_weights(nodes.times)
+    ds_sum = 0.0
+    for jpost in nodes.jump_post:
+        ds_sum += max(nodes.values[jpost] - s_run[jpost - 1], 0.0)
+    return (beta * float(w[s_run - nodes.values < h_band].sum()) / h_band,
+            float(s_run[-1]) - ds_sum)
+
+
+@_pooled
 def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
                               harness: dict,
-                              oracle: BranchingMechanism | None = None,
-                              jobs: int = 1) -> MonteCarloReport:
+                              oracle: BranchingMechanism | None = None, *,
+                              pool: PathPool) -> MonteCarloReport:
     """beta * (local time of S - xi at 0) recovers the continuous part of the
     supremum, S_t minus its jump increases; band occupation near zero
     estimates the local time, refining with dt."""
@@ -811,22 +883,7 @@ def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
         sub = SimConfig(dt=dt, horizon=t_end, truncation_delta=cfg.truncation_delta,
                         small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
         h_band = band_mult * math.sqrt(2.0 * beta * dt)
-        lhs = np.empty(m_paths)
-        rhs = np.empty(m_paths)
-
-        def work(i: int, sub=sub, h_band=h_band, lhs=lhs, rhs=rhs) -> None:
-            p = sample_path(mech, sub, path_index=_NS_REFLECTED + i)
-            nodes = build_nodes(p)
-            s_run = np.maximum.accumulate(nodes.values)
-            r_vals = s_run - nodes.values
-            w = node_weights(nodes.times)
-            lhs[i] = beta * float(w[r_vals < h_band].sum()) / h_band
-            ds_sum = 0.0
-            for jpost in nodes.jump_post:
-                ds_sum += max(nodes.values[jpost] - s_run[jpost - 1], 0.0)
-            rhs[i] = float(s_run[-1]) - ds_sum
-
-        _for_each_path(m_paths, jobs, work)
+        lhs, rhs = pool.map(_reflected_row, (mech, sub, beta, h_band), m_paths)
         rel = abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())
         devs.append(rel)
         se = float(np.hypot(lhs.std(ddof=1), rhs.std(ddof=1))
@@ -839,14 +896,9 @@ def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
             stat=float(rel), oracle=0.0, stderr=se, tol=tol,
             passed=rel <= tol,
             note="5% gate at finest dt (jump mechanisms)" if gate else ""))
-    for j in range(len(devs) - 1):
-        report.cells.append(CheckCell(
-            name="deviation_monotone_decrease",
-            params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
-            stat=devs[j] - devs[j + 1], oracle=0.0, stderr=0.0, tol=math.inf,
-            passed=devs[j] > devs[j + 1], note="requires strict decrease"))
+    report.cells.extend(_monotone_cells("deviation_monotone_decrease", dts, devs))
     report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), jobs))
+                                        harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -854,9 +906,17 @@ def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
 # suite 7: the Brownian special case
 # ---------------------------------------------------------------------------
 
+def _example_row(spec, i: int) -> tuple:
+    """Height at the end of path i, (final value - running minimum) / beta."""
+    mech, cfg = spec
+    v = sample_path(mech, cfg, path_index=_NS_EXAMPLE + i).values
+    return ((v[-1] - v.min()) / mech.beta,)
+
+
+@_pooled
 def brownian_example_report(cfg: SimConfig, harness: dict,
-                            oracle: BranchingMechanism | None = None,
-                            jobs: int = 1) -> MonteCarloReport:
+                            oracle: BranchingMechanism | None = None, *,
+                            pool: PathPool) -> MonteCarloReport:
     """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
     is distributed like twice the absolute value of a Gaussian with variance
     t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
@@ -869,14 +929,7 @@ def brownian_example_report(cfg: SimConfig, harness: dict,
     sub = SimConfig(dt=dt, horizon=t_end, truncation_delta=0.0,
                     small_jump_mode="drop_compensated", seed=cfg.seed)
 
-    hs = np.empty(m_paths)
-
-    def work(i: int) -> None:
-        p = sample_path(mech, sub, path_index=_NS_EXAMPLE + i)
-        v = p.values
-        hs[i] = (v[-1] - v.min()) / mech.beta
-
-    _for_each_path(m_paths, jobs, work)
+    hs, = pool.map(_example_row, (mech, sub), m_paths)
     hs_sorted = np.sort(hs)
     scale = 2.0 * math.sqrt(2.0 * t_end)
     cdf = np.array([math.erf(h / scale) for h in hs_sorted])
@@ -902,7 +955,7 @@ def brownian_example_report(cfg: SimConfig, harness: dict,
         name="nonnegative", params={}, stat=float(hs.min()), oracle=0.0,
         stderr=0.0, tol=0.0, passed=bool(hs.min() >= 0.0)))
     report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), jobs))
+                                        harness.get("exponent_check", {}), pool))
     return report
 
 
@@ -915,38 +968,43 @@ SUITES = ("ray-knight", "theorem1", "tanaka", "noise", "poisson-marks",
 
 
 def run_suite(name: str, mech: BranchingMechanism, cfg: SimConfig,
-              harness: dict, jobs: int = 1) -> MonteCarloReport:
+              harness: dict, jobs: int = 1,
+              pool: PathPool | None = None) -> MonteCarloReport:
+    """One suite, on pool if given, else on a pool of its own with jobs
+    workers."""
     offset = float(harness.get("oracle_alpha_offset", 0.0))
     if name == "example":
         base = BranchingMechanism(**_EXAMPLE_MECH)
         oracle = replace(base, alpha=base.alpha + offset) if offset else base
-        return brownian_example_report(cfg, harness, oracle=oracle, jobs=jobs)
+        return brownian_example_report(cfg, harness, oracle=oracle, jobs=jobs, pool=pool)
+    suite = _MECHANISM_SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}")
     oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
-    if name == "ray-knight":
-        return ray_knight_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    if name == "theorem1":
-        return theorem1_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    if name == "tanaka":
-        return tanaka_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    if name == "noise":
-        return white_noise_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    if name == "poisson-marks":
-        return poisson_marks_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    if name == "reflected":
-        return reflected_supremum_report(mech, cfg, harness, oracle=oracle, jobs=jobs)
-    raise ValueError(f"unknown suite {name!r}")
+    return suite(mech, cfg, harness, oracle=oracle, jobs=jobs, pool=pool)
+
+
+_MECHANISM_SUITES = {
+    "ray-knight": ray_knight_report,
+    "theorem1": theorem1_report,
+    "tanaka": tanaka_report,
+    "noise": white_noise_report,
+    "poisson-marks": poisson_marks_report,
+    "reflected": reflected_supremum_report,
+}
 
 
 def run_all(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
             jobs: int = 1) -> list[MonteCarloReport]:
-    """Run every suite applicable to the mechanism; inapplicable suites are
-    recorded as skipped entries rather than failures."""
+    """Run every suite applicable to the mechanism on one pool; inapplicable
+    suites are recorded as skipped entries rather than failures."""
     reports = []
-    for name in SUITES:
-        try:
-            reports.append(run_suite(name, mech, cfg, harness, jobs=jobs))
-        except PreconditionError as exc:
-            reports.append(MonteCarloReport(
-                check=name, sample_size=0, skipped=True, reason=str(exc),
-                config_echo={"mechanism": mechanism_to_config(mech)}))
+    with PathPool(jobs) as pool:
+        for name in SUITES:
+            try:
+                reports.append(run_suite(name, mech, cfg, harness, pool=pool))
+            except PreconditionError as exc:
+                reports.append(MonteCarloReport(
+                    check=name, sample_size=0, skipped=True, reason=str(exc),
+                    config_echo={"mechanism": mechanism_to_config(mech)}))
     return reports

@@ -191,6 +191,54 @@ def test_bad_per_suite_size_exits_2(tmp_path, block, field, value):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("block,field,value", [
+    ("noise", "level_width", 0), ("noise", "a", -1.0),
+    ("noise", "u_max", float("inf")), ("poisson", "level_width", 0.0),
+    ("poisson", "x", float("nan")), ("reflected", "band_mult", 0)])
+def test_bad_per_suite_number_exits_2(tmp_path, block, field, value):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {block: {field: value}}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert f"harness.{block}.{field}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("value", [0, -0.5, float("inf"), "wide"])
+def test_bad_level_width_exits_2(tmp_path, value):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {"level_width": value}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert "harness.level_width" in r.stderr
+
+
+def test_zero_noise_level_width_is_a_config_error(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {"noise": {"level_width": 0}}})
+    r = run_cli("verify", "noise", "--config", cfg, "--out", str(tmp_path / "v"))
+    assert r.returncode == 2
+    assert "harness.noise.level_width" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, jobs):
+    cfg = write_cfg(tmp_path, "c.json", SMALL_VERIFY)
+    r = run_cli("verify", "example", "--config", cfg, "--out", str(tmp_path / "v"),
+                "--jobs", jobs)
+    assert r.returncode == 2
+    assert "--jobs" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "v").exists()
+
+
+def test_jump_free_config_does_not_load_scipy(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", SMALL_VERIFY)
+    code = ("import sys, levyforest.cli; levyforest.cli.load_run_config(sys.argv[1]); "
+            "print('scipy' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 def test_suite_horizon_must_exceed_its_step(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"harness": {"noise": {"dt": 0.5, "horizon": 0.25}}})

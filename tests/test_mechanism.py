@@ -163,11 +163,6 @@ def test_grey_cases():
     assert trunc.grey_holds() is False          # cutoff kills superlinearity
 
 
-def test_grey_numeric_probe_agrees_on_decidable_cases():
-    assert FELLER._grey_numeric_probe() is True
-    assert LINEAR._grey_numeric_probe() is False
-
-
 # -- derived laws ------------------------------------------------------------
 
 def test_cb_laplace_trivials():

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from levyforest.paths import SimConfig
 from levyforest.verify import (
     GridFunction2D,
     MarkBox,
+    PathPool,
+    _exponent_row,
     indicator_box,
     run_all,
     run_suite,
@@ -193,6 +196,40 @@ def test_report_json_roundtrip_and_jobs_determinism():
     assert obj["pass"] == rep1.passed
     assert all(set(c) >= {"name", "stat", "oracle", "stderr", "tol", "pass"}
                for c in obj["cells"])
+
+
+TINY = dict(SMALL, paths=40, theorem1={"paths": 30, "horizon": 12.0},
+            tanaka={"paths": 25, "t": 1.0}, noise=dict(SMALL["noise"], paths=30),
+            poisson=dict(SMALL["poisson"], paths=30),
+            reflected=dict(SMALL["reflected"], paths=30),
+            example=dict(SMALL["example"], paths=50),
+            exponent_check=dict(SMALL["exponent_check"], paths=70))
+
+
+def test_run_all_reports_do_not_depend_on_the_split():
+    # 3 workers cut 25..70 paths into 12 uneven chunks; JUMPY runs all 7 suites
+    serial = run_all(JUMPY, CFG, TINY, jobs=1)
+    split = run_all(JUMPY, CFG, TINY, jobs=3)
+    assert [r.check for r in split] == [r.check for r in serial]
+    assert not any(r.skipped for r in serial)
+    for a, b in zip(serial, split):
+        assert a.to_json() == b.to_json(), a.check
+
+
+def test_path_pool_starts_no_more_workers_than_chunks():
+    spec = (FELLER, SimConfig(dt=0.01, horizon=1.01, seed=3), 100)
+    with PathPool(4) as pool:
+        vals, = pool.map(_exponent_row, spec, 2)
+        assert len(multiprocessing.active_children()) <= 2
+        assert vals.tolist() == PathPool(1).map(_exponent_row, spec, 2)[0].tolist()
+    assert not multiprocessing.active_children()
+
+
+def test_path_pool_surfaces_worker_errors():
+    spec = (FELLER, SimConfig(dt=0.01, horizon=1.01, seed=3), 500)  # past the grid
+    with PathPool(2) as pool:
+        with pytest.raises(IndexError):
+            pool.map(_exponent_row, spec, 4)
 
 
 def test_example_suite_small_scale_passes():
