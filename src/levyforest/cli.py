@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,9 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON run config")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override sim seed")
-    common.add_argument("--paths", type=int, default=None, help="override path count")
-    common.add_argument("--dt", type=float, default=None, help="override grid step")
+    common.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    common.add_argument("--paths", type=int, default=None,
+                        help="override harness.paths: the ray-knight ensemble and its "
+                             "branching batch (per-suite blocks keep their own paths)")
+    common.add_argument("--dt", type=float, default=None,
+                        help="override sim.dt: the grid of simulate and of ray-knight "
+                             "(per-suite blocks and the dts ladder keep their own steps)")
     common.add_argument("--jobs", type=int, default=1,
                         help="worker processes for verify (default 1: run in this "
                              "process; results are jobs-independent)")
@@ -72,22 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    sim = run.sim
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
-    if args.dt is not None:
-        sim = replace(sim, dt=args.dt)
-    harness = dict(run.harness)
-    if args.paths is not None:
-        harness["paths"] = args.paths
-    if args.negative_control:
-        harness["oracle_alpha_offset"] = 0.3
-    return RunConfig(mechanism=run.mechanism, sim=sim, harness=harness)
+def _overrides(args) -> dict:
+    """The config fields the flags replace, checked with the rest of the
+    config."""
+    fields = {"sim.seed": args.seed, "sim.dt": args.dt, "harness.paths": args.paths,
+              "harness.oracle_alpha_offset": 0.3 if args.negative_control else None}
+    return {name: val for name, val in fields.items() if val is not None}
 
 
 def _out_dir(run: RunConfig, args) -> str:
-    out = args.out or run.harness.get("out_dir", "out")
+    out = args.out or run.harness["out_dir"]
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -179,7 +176,7 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigurationError("--jobs: must be >= 1")
-        run = _apply_overrides(load_run_config(args.config), args)
+        run = load_run_config(args.config, _overrides(args))
         if args.command == "mechanism":
             return _cmd_mechanism_info(run)
         out = _out_dir(run, args)

@@ -10,7 +10,8 @@ Shape:
     }
 
 Validation failures raise ConfigurationError naming the offending field.
-Omitted harness keys fall back to the defaults below, which reproduce the
+Omitted harness keys fall back to DEFAULT_HARNESS (kept in levyforest.verify,
+whose suites read it too, and re-exported here), which reproduces the
 acceptance-scale verification runs.
 """
 
@@ -26,36 +27,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .mechanism import BranchingMechanism, mechanism_from_config, mechanism_to_config
 from .paths import SimConfig, _chunk_cells, sim_config_from_config, sim_config_to_config
-from .verify import GridFunction2D
+from .verify import DEFAULT_HARNESS, GridFunction2D, merge_harness
 
 __all__ = ["RunConfig", "load_run_config", "run_config_from_dict",
            "DEFAULT_CONFIG", "DEFAULT_HARNESS"]
 
-
-DEFAULT_HARNESS: dict = {
-    "x": 1.0,
-    "levels": [0.25, 0.5, 1.0],
-    "lambdas": [0.5, 1.0, 2.0],
-    "paths": 4000,
-    "dts": [1e-3, 5e-4, 2.5e-4],
-    "residual_levels": [0.25, 0.5, 0.75, 1.0],
-    "level_width": None,
-    "mean_budget": 0.02,
-    "laplace_budget": 0.05,
-    "boxes": [{"a": [0.0, 0.5], "z": [0.8, 1.2], "u": [0.0, 0.5]}],
-    "theorem1": {"paths": 8000, "horizon": 24.0},
-    "tanaka": {"paths": 3000, "t": 2.0},
-    "noise": {"a": 1.0, "u_max": 1.0, "dt": 1e-3, "horizon": 24.0,
-              "paths": 4000, "level_width": 0.05, "f": None},
-    "poisson": {"x": 4.0, "dt": 5e-4, "horizon": 60.0, "paths": 4000,
-                "level_width": 0.05},
-    "reflected": {"t": 1.0, "paths": 3000, "band_mult": 16.0},
-    "example": {"paths": 5000, "dt": 2e-4, "t": 1.0},
-    "exponent_check": {"paths": 2000, "dt": 0.01, "t": 2.0,
-                       "lambdas": [0.5, 1.0]},
-    "oracle_alpha_offset": 0.0,
-    "out_dir": "out",
-}
 
 DEFAULT_CONFIG: dict = {
     "mechanism": {"alpha": 0.5, "beta": 1.0,
@@ -85,8 +61,7 @@ class RunConfig:
 
 
 _NUMERIC_LISTS = ("levels", "lambdas", "dts", "residual_levels")
-_SUB_BLOCKS = ("theorem1", "tanaka", "noise", "poisson", "reflected",
-               "example", "exponent_check")
+_SUB_BLOCKS = [k for k, v in DEFAULT_HARNESS.items() if isinstance(v, dict)]
 # per-suite numbers that must be finite and > 0, besides dt, horizon and t
 _POSITIVE = {"noise": ("a", "u_max", "level_width"),
              "poisson": ("x", "level_width"),
@@ -94,39 +69,25 @@ _POSITIVE = {"noise": ("a", "u_max", "level_width"),
 
 
 def _validate_harness(h: dict) -> dict:
-    out = copy.deepcopy(DEFAULT_HARNESS)
-    for key, val in h.items():
-        if key not in DEFAULT_HARNESS:
-            raise ConfigurationError(f"harness.{key}: unknown field")
-        if key in _SUB_BLOCKS:
-            if not isinstance(val, dict):
-                raise ConfigurationError(f"harness.{key}: expected an object")
-            for sub, sval in val.items():
-                if sub not in DEFAULT_HARNESS[key]:
-                    raise ConfigurationError(f"harness.{key}.{sub}: unknown field")
-                out[key][sub] = sval
-        else:
-            out[key] = val
+    out = merge_harness(h)
     for key in _NUMERIC_LISTS:
-        try:
-            out[key] = [float(v) for v in out[key]]
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"harness.{key}: expected a list of numbers") from None
+        out[key] = _numbers(out[key], f"harness.{key}")
         if not out[key]:
             raise ConfigurationError(f"harness.{key}: must not be empty")
+    if not max(out["residual_levels"]) > 0.0:
+        raise ConfigurationError("harness.residual_levels: needs a level > 0")
+    out["exponent_check"]["lambdas"] = _numbers(out["exponent_check"]["lambdas"],
+                                                "harness.exponent_check.lambdas")
     for key in ("x", "mean_budget", "laplace_budget", "oracle_alpha_offset"):
         try:
             out[key] = float(out[key])
         except (TypeError, ValueError):
             raise ConfigurationError(f"harness.{key}: expected a number") from None
-    try:
-        out["paths"] = int(out["paths"])
-    except (TypeError, ValueError):
-        raise ConfigurationError("harness.paths: expected an integer") from None
-    if out["paths"] <= 1:
-        raise ConfigurationError("harness.paths: must exceed 1")
+    out["paths"] = _path_count(out["paths"], "harness.paths")
     if out["x"] < 0:
         raise ConfigurationError("harness.x: must be >= 0")
+    if not (isinstance(out["out_dir"], str) and out["out_dir"]):
+        raise ConfigurationError("harness.out_dir: expected a directory name")
     if out["level_width"] is not None:
         out["level_width"] = _number(out["level_width"], "harness.level_width")
     for block in _SUB_BLOCKS:
@@ -134,9 +95,11 @@ def _validate_harness(h: dict) -> dict:
     _validate_dts(out)
     if out["noise"]["f"] is not None:
         out["noise"]["f"] = _grid_function(out["noise"]["f"], "harness.noise.f")
+    if not isinstance(out["boxes"], list):
+        raise ConfigurationError("harness.boxes: expected a list of boxes")
     for i, box in enumerate(out["boxes"]):
         for axis in ("a", "z", "u"):
-            rng = box.get(axis)
+            rng = box.get(axis) if isinstance(box, dict) else None
             if (not isinstance(rng, (list, tuple)) or len(rng) != 2
                     or not all(isinstance(v, (int, float)) for v in rng)
                     or not rng[0] < rng[1]):
@@ -156,6 +119,25 @@ def _number(val, name: str) -> float:
     return num
 
 
+def _numbers(val, name: str) -> list[float]:
+    """A list of finite numbers >= 0 (levels, Laplace arguments, steps)."""
+    try:
+        nums = [float(v) for v in val]
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name}: expected a list of numbers") from None
+    if not all(math.isfinite(v) and v >= 0.0 for v in nums):
+        raise ConfigurationError(f"{name}: expected finite numbers >= 0")
+    return nums
+
+
+def _path_count(val, name: str) -> int:
+    """A whole number of paths > 1."""
+    paths = _number(val, name)
+    if not paths.is_integer() or paths <= 1:
+        raise ConfigurationError(f"{name}: expected an integer > 1")
+    return int(paths)
+
+
 def _validate_sizes(block: str, sub: dict) -> None:
     """Path counts, steps, horizons and other positive numbers of one
     per-suite block."""
@@ -163,10 +145,7 @@ def _validate_sizes(block: str, sub: dict) -> None:
         if key in sub:
             sub[key] = _number(sub[key], f"harness.{block}.{key}")
     if "paths" in sub:
-        paths = _number(sub["paths"], f"harness.{block}.paths")
-        if not paths.is_integer() or paths <= 1:
-            raise ConfigurationError(f"harness.{block}.paths: expected an integer > 1")
-        sub["paths"] = int(paths)
+        sub["paths"] = _path_count(sub["paths"], f"harness.{block}.paths")
     end = "horizon" if "horizon" in sub else "t"
     if "dt" in sub and end in sub and not sub[end] > sub["dt"]:
         raise ConfigurationError(
@@ -231,7 +210,9 @@ def _grid_function(obj, name: str) -> GridFunction2D:
     return GridFunction2D(arrays["s_edges"], arrays["u_edges"], arrays["values"])
 
 
-def run_config_from_dict(obj: dict) -> RunConfig:
+def run_config_from_dict(obj: dict, overrides: dict | None = None) -> RunConfig:
+    """The validated config of obj; overrides maps "section.field" names to
+    values that replace the config's own before validation."""
     if not isinstance(obj, dict):
         raise ConfigurationError("config: expected a JSON object")
     merged = copy.deepcopy(DEFAULT_CONFIG)
@@ -239,15 +220,22 @@ def run_config_from_dict(obj: dict) -> RunConfig:
         if key not in merged:
             raise ConfigurationError(f"config.{key}: unknown field")
     merged.update({k: obj[k] for k in obj})
+    for name, val in (overrides or {}).items():
+        section, key = name.split(".")
+        block = merged[section] or {}
+        if isinstance(block, dict):     # otherwise the section's own check reports it
+            merged[section] = {**block, key: val}
     mech = mechanism_from_config(merged["mechanism"])
     sim = sim_config_from_config(merged["sim"])
     harness = _validate_harness(merged.get("harness") or {})
     return RunConfig(mechanism=mech, sim=sim, harness=harness)
 
 
-def load_run_config(path: str | None) -> RunConfig:
+def load_run_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """The config read from the JSON file at path (the defaults when None),
+    with overrides applied as in run_config_from_dict."""
     if path is None:
-        return run_config_from_dict({})
+        return run_config_from_dict({}, overrides)
     try:
         with open(path, "r", encoding="utf-8") as fp:
             text = fp.read()
@@ -257,4 +245,4 @@ def load_run_config(path: str | None) -> RunConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config: invalid JSON in {path}: {exc}") from None
-    return run_config_from_dict(obj)
+    return run_config_from_dict(obj, overrides)

@@ -211,12 +211,15 @@ class JumpMeasure:
     def sampler_above(self, delta: float):
         """Return (rate, draw) where draw(rng, n) samples sizes from the
         normalised restriction of pi to (delta, inf)."""
+        pl = self.power_law
+        if pl is not None and pl.z_min == 0.0 and delta == 0.0:
+            raise ConfigurationError("sim.truncation_delta: power-law jumps reaching 0 "
+                                     "require truncation_delta > 0")
         rate = self.mass_above(delta)
         if rate <= 0.0:
             return 0.0, None
         sizes = np.array([z for z, _ in self.atoms if z > delta])
         weights = np.array([w for z, w in self.atoms if z > delta])
-        pl = self.power_law
         pl_mass = 0.0
         if pl is not None:
             lo = max(delta, pl.z_min)
@@ -400,6 +403,8 @@ def mechanism_from_config(obj: dict) -> BranchingMechanism:
         raise ConfigurationError("mechanism.alpha/beta: expected numbers") from None
 
     jumps_obj = obj.get("jumps") or {}
+    if not isinstance(jumps_obj, dict):
+        raise ConfigurationError("mechanism.jumps: expected an object")
     atoms = []
     for i, atom in enumerate(jumps_obj.get("atoms") or []):
         try:
@@ -409,6 +414,8 @@ def mechanism_from_config(obj: dict) -> BranchingMechanism:
     pl_obj = jumps_obj.get("power_law")
     power_law = None
     if pl_obj is not None:
+        if not isinstance(pl_obj, dict):
+            raise ConfigurationError("mechanism.jumps.power_law: expected an object")
         try:
             z_max = pl_obj.get("z_max")
             power_law = PowerLawTail(

@@ -94,7 +94,7 @@ def sim_config_from_config(obj: dict) -> SimConfig:
         if name in obj:
             try:
                 kwargs[name] = caster(obj[name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigurationError(f"sim.{name}: expected {caster.__name__}") from None
     for name in ("dt", "horizon"):
         if name not in kwargs:
@@ -326,11 +326,6 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     own first passage.
     """
     delta = cfg.truncation_delta
-    pl = mech.jumps.power_law
-    if pl is not None and pl.z_min == 0.0 and delta == 0.0:
-        raise ConfigurationError(
-            "power-law jumps reaching 0 require truncation_delta > 0")
-
     rate, draw = mech.jumps.sampler_above(delta)
     drift = -mech.alpha - mech.jumps.mean_above(delta)
     var_rate = 2.0 * mech.beta

@@ -8,6 +8,17 @@ every cell passes, and serializes to JSON byte-identically for a given
 (config, seed) regardless of worker count (per-path statistics are stored by
 path index and reduced in fixed order; no wall-clock data enters a report).
 
+The suites share one pipeline.  One stage, _heights, takes a path through
+build_nodes, the optional cut at its first passage below -x and scan_height;
+_level_profile reads its local-time profile at the requested levels.  One
+cell builder, _mean_cell, turns a sample array into a mean-vs-oracle cell
+(mean, standard error std(ddof=1)/sqrt(n), tolerance), and _discards counts
+the paths that miss -x.  Every report function is entered through _suite: it
+checks the suite's preconditions, fills the harness in from DEFAULT_HARNESS
+(the only copy of the defaults), sets the oracle (the mechanism, its drift
+shifted by oracle_alpha_offset), runs the suite on a PathPool and appends the
+path-exponent cells.  SUITES is the one name -> report table.
+
 Per-path work lives in module-level functions, fn(spec, i) -> tuple of
 statistics of path i, which a PathPool runs either in this process over
 every path (one job) or over contiguous index chunks in a pool of spawned
@@ -28,6 +39,7 @@ oracle drift, which is what the negative-control mode perturbs.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -36,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cb_flow import cb_marginals
-from .errors import PreconditionError
+from .errors import ConfigurationError, PreconditionError
 from .exploration import scan_height
 from .local_time import (
     aligned_level_width,
@@ -60,6 +72,8 @@ from .paths import (
 __all__ = [
     "CheckCell",
     "MonteCarloReport",
+    "DEFAULT_HARNESS",
+    "merge_harness",
     "GridFunction2D",
     "indicator_box",
     "MarkBox",
@@ -74,6 +88,7 @@ __all__ = [
     "PathPool",
     "SUITES",
     "run_suite",
+    "run_all",
 ]
 
 # stream-index namespaces per suite (never reuse a path stream across suites)
@@ -85,11 +100,57 @@ _NS_REFLECTED = 1 << 45
 _NS_EXAMPLE = 1 << 46
 _NS_EXPONENT = 1 << 47
 
-_EXAMPLE_MECH = dict(alpha=0.0, beta=0.5)
+# The harness defaults reproduce the acceptance-scale verification runs.
+DEFAULT_HARNESS: dict = {
+    "x": 1.0,
+    "levels": [0.25, 0.5, 1.0],
+    "lambdas": [0.5, 1.0, 2.0],
+    "paths": 4000,
+    "dts": [1e-3, 5e-4, 2.5e-4],
+    "residual_levels": [0.25, 0.5, 0.75, 1.0],
+    "level_width": None,
+    "mean_budget": 0.02,
+    "laplace_budget": 0.05,
+    "boxes": [{"a": [0.0, 0.5], "z": [0.8, 1.2], "u": [0.0, 0.5]}],
+    "theorem1": {"paths": 8000, "horizon": 24.0},
+    "tanaka": {"paths": 3000, "t": 2.0},
+    "noise": {"a": 1.0, "u_max": 1.0, "dt": 1e-3, "horizon": 24.0,
+              "paths": 4000, "level_width": 0.05, "f": None},
+    "poisson": {"x": 4.0, "dt": 5e-4, "horizon": 60.0, "paths": 4000,
+                "level_width": 0.05},
+    "reflected": {"t": 1.0, "paths": 3000, "band_mult": 16.0},
+    "example": {"paths": 5000, "dt": 2e-4, "t": 1.0},
+    "exponent_check": {"paths": 2000, "dt": 0.01, "t": 2.0,
+                       "lambdas": [0.5, 1.0]},
+    "oracle_alpha_offset": 0.0,
+    "out_dir": "out",
+}
+
+
+def merge_harness(harness: dict) -> dict:
+    """DEFAULT_HARNESS with the fields of harness in place of its own, the
+    per-suite blocks field by field; an unknown field is a
+    ConfigurationError naming it."""
+    if not isinstance(harness, dict):
+        raise ConfigurationError("harness: expected an object")
+    out = copy.deepcopy(DEFAULT_HARNESS)
+    for key, val in harness.items():
+        if key not in out:
+            raise ConfigurationError(f"harness.{key}: unknown field")
+        if not isinstance(out[key], dict):
+            out[key] = val
+            continue
+        if not isinstance(val, dict):
+            raise ConfigurationError(f"harness.{key}: expected an object")
+        for sub in val:
+            if sub not in out[key]:
+                raise ConfigurationError(f"harness.{key}.{sub}: unknown field")
+        out[key].update(val)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# report containers
+# report containers and cells
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -152,6 +213,28 @@ def _gap_cell(name: str, params: dict, stat: float, oracle: float,
                      passed=bool(abs(stat - oracle) <= tol))
 
 
+def _se(samples: np.ndarray, axis: int | None = None):
+    """Standard error of the mean of samples (of each column with axis=0)."""
+    return samples.std(axis=axis, ddof=1) / math.sqrt(len(samples))
+
+
+def _mean_cell(name: str, params: dict, samples: np.ndarray, oracle: float,
+               budget_abs: float) -> CheckCell:
+    """The sample mean against the oracle, within three standard errors plus
+    budget_abs."""
+    return _gap_cell(name, params, samples.mean(), oracle, _se(samples), budget_abs)
+
+
+def _discards(first_stat: np.ndarray, note: str = ""):
+    """(kept mask, discarded count, discard_rate cell) of an ensemble whose
+    rows are NaN for paths that never reach -x within the horizon."""
+    kept = ~np.isnan(first_stat)
+    discarded = int(len(kept) - kept.sum())
+    rate = discarded / len(kept)
+    return kept, discarded, CheckCell("discard_rate", {}, rate, 0.0, 0.0, 0.05,
+                                      rate <= 0.05, note=note)
+
+
 def _monotone_cells(name: str, dts: list[float], dev: list[float]) -> list[CheckCell]:
     """One cell per step of the dt ladder: dev must decrease strictly."""
     return [CheckCell(name=name, params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
@@ -160,15 +243,33 @@ def _monotone_cells(name: str, dts: list[float], dev: list[float]) -> list[Check
             for j in range(len(dev) - 1)]
 
 
-def _echo(mech: BranchingMechanism, cfg: SimConfig, oracle: BranchingMechanism,
-          extra: dict) -> dict:
-    out = {
-        "mechanism": mechanism_to_config(mech),
-        "sim": sim_config_to_config(cfg),
-        "oracle_mechanism": mechanism_to_config(oracle),
-    }
-    out.update(extra)
-    return out
+def _sub_config(cfg: SimConfig, dt: float, horizon: float) -> SimConfig:
+    """cfg on another grid: same truncation, small-jump mode and seed."""
+    return replace(cfg, dt=dt, horizon=horizon)
+
+
+# ---------------------------------------------------------------------------
+# the per-path stage
+# ---------------------------------------------------------------------------
+
+def _heights(path: LevyPath, x: float | None = None):
+    """(nodes, HeightScan) of path, cut at its first passage below -x when x
+    is given; None when it never gets there."""
+    nodes = build_nodes(path)
+    if x is not None:
+        cut = truncate_at_level(nodes, x)
+        if cut is None:
+            return None
+        nodes = cut[0]
+    return nodes, scan_height(nodes, path.beta_eff)
+
+
+def _level_profile(nodes, height: np.ndarray, width: float, levels) -> np.ndarray:
+    """Local-time profile of the trajectory at each level, read in the bin of
+    width width that holds it."""
+    n_bins = int(round(max(levels) / width)) + 1
+    return occupation_profile(nodes.times, height, width, n_bins)[
+        [int(round(a / width)) for a in levels]]
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +324,58 @@ class PathPool:
         return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def _pooled(suite):
-    """Run a suite on the PathPool passed as pool=, or on its own pool of
-    jobs= workers, closed when the suite returns."""
-    @functools.wraps(suite)
-    def run(*args, jobs: int = 1, pool: PathPool | None = None, **kwargs):
-        if pool is not None:
-            return suite(*args, pool=pool, **kwargs)
-        with PathPool(jobs) as own:
-            return suite(*args, pool=own, **kwargs)
-    return run
+# ---------------------------------------------------------------------------
+# the suite entry point and the path-exponent health cells
+# ---------------------------------------------------------------------------
+
+_REQUIREMENTS = {
+    "beta": lambda mech: mech.beta > 0.0,
+    "grey": BranchingMechanism.grey_holds,
+    "jumps": lambda mech: not mech.jumps.is_zero,
+}
 
 
-# ---------------------------------------------------------------------------
-# path-exponent health cells (shared by every suite)
-# ---------------------------------------------------------------------------
+def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
+    """Make suite(mech, cfg, harness, oracle, *, pool) -> report into the
+    report function (mech, cfg, harness, oracle=None, *, jobs=1, pool=None).
+
+    requires maps names in _REQUIREMENTS to the PreconditionError message of
+    the suite, checked in the order given; fixed_mech is the mechanism of a
+    suite that ignores the caller's.  The harness is filled in from
+    DEFAULT_HARNESS, oracle defaults to the mechanism with its drift shifted
+    by harness.oracle_alpha_offset, and the suite runs on pool, or on its own
+    pool of jobs workers closed when it returns.
+    """
+    def wrap(suite):
+        @functools.wraps(suite)
+        def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
+                oracle: BranchingMechanism | None = None, *, jobs: int = 1,
+                pool: PathPool | None = None) -> MonteCarloReport:
+            mech = fixed_mech or mech
+            for need, message in requires.items():
+                if not _REQUIREMENTS[need](mech):
+                    raise PreconditionError(message)
+            h = merge_harness(harness)
+            if oracle is None:
+                offset = h["oracle_alpha_offset"]
+                oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
+
+            def on(pool: PathPool) -> MonteCarloReport:
+                report = suite(mech, cfg, h, oracle, pool=pool)
+                report.config_echo.update(mechanism=mechanism_to_config(mech),
+                                          sim=sim_config_to_config(cfg),
+                                          oracle_mechanism=mechanism_to_config(oracle))
+                report.cells.extend(_exponent_cells(mech, oracle, cfg,
+                                                    h["exponent_check"], pool))
+                return report
+
+            if pool is not None:
+                return on(pool)
+            with PathPool(jobs) as own:
+                return on(own)
+        return run
+    return wrap
+
 
 def _exponent_row(spec, i: int) -> tuple:
     """X_t of path i."""
@@ -247,24 +385,17 @@ def _exponent_row(spec, i: int) -> tuple:
 
 def _exponent_cells(mech: BranchingMechanism, oracle: BranchingMechanism,
                     cfg: SimConfig, spec: dict, pool: PathPool) -> list[CheckCell]:
-    m = int(spec.get("paths", 2000))
-    t = float(spec.get("t", 2.0))
-    dt = float(spec.get("dt", 0.01))
-    lambdas = list(spec.get("lambdas", (0.5, 1.0)))
-    sub = SimConfig(dt=dt, horizon=t + dt, truncation_delta=cfg.truncation_delta,
-                    small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
-    key = (mech, sub, int(round(t / dt)), m)
+    m, t, dt = spec["paths"], spec["t"], spec["dt"]
+    key = (mech, _sub_config(cfg, dt, t + dt), int(round(t / dt)), m)
     if key not in pool.exponent_values:             # once per pool, not per suite
         pool.exponent_values[key], = pool.map(_exponent_row, key[:3], m)
     vals = pool.exponent_values[key]
     corr = cfg.small_jump_mode == "gaussian_correction"
     cells = []
-    for lam in lambdas:
-        samples = np.exp(-lam * vals)
+    for lam in spec["lambdas"]:
         target = math.exp(t * oracle.truncated_exponent(lam, cfg.truncation_delta, corr))
-        se = samples.std(ddof=1) / math.sqrt(m)
-        cells.append(_gap_cell("path_exponent", {"t": t, "lam": lam},
-                               samples.mean(), target, se, 0.01 * target))
+        cells.append(_mean_cell("path_exponent", {"t": t, "lam": lam},
+                                np.exp(-lam * vals), target, 0.01 * target))
     return cells
 
 
@@ -349,111 +480,104 @@ class MarkBox:
         return (self.a[1] - self.a[0]) * mech.jumps.mass_in(*self.z) * (self.u[1] - self.u[0])
 
 
+
+
 # ---------------------------------------------------------------------------
 # suite 1: first-passage local-time profile vs branching laws
 # ---------------------------------------------------------------------------
 
 def _ray_knight_row(spec, i: int) -> tuple:
     """Local-time profile of stopped path i at the levels (NaN if it misses -x)."""
-    mech, cfg, x, width, n_bins, bins = spec
-    p = sample_path(mech, cfg, path_index=i, stop_level=x)
-    cut = truncate_at_level(build_nodes(p), x)
-    if cut is None:
-        return (np.full(len(bins), np.nan),)
-    nodes, _ = cut
-    sc = scan_height(nodes, p.beta_eff)
-    return (occupation_profile(nodes.times, sc.height, width, n_bins)[bins],)
+    mech, cfg, x, levels, width = spec
+    out = _heights(sample_path(mech, cfg, path_index=i, stop_level=x), x)
+    if out is None:
+        return (np.full(len(levels), np.nan),)
+    nodes, sc = out
+    return (_level_profile(nodes, sc.height, width, levels),)
 
 
-@_pooled
-def ray_knight_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                      oracle: BranchingMechanism | None = None, *,
-                      pool: PathPool) -> MonteCarloReport:
+@_suite(beta="ray-knight suite requires beta > 0",
+        grey="ray-knight suite requires Grey's condition")
+def ray_knight_report(mech, cfg, harness, oracle, *, pool):
     """Three-way comparison at each (level, lam): the Laplace transform of the
     stopped path's local-time profile, the empirical branching simulation, and
     the exact transition law exp(-x * v_a(lam))."""
-    if mech.beta <= 0.0:
-        raise PreconditionError("ray-knight suite requires beta > 0")
-    if not mech.grey_holds():
-        raise PreconditionError("ray-knight suite requires Grey's condition")
-    oracle = oracle or mech
-    x = float(harness["x"])
-    levels = [float(a) for a in harness["levels"]]
-    lambdas = [float(l) for l in harness["lambdas"]]
-    m_paths = int(harness["paths"])
-    lap_budget = float(harness.get("laplace_budget", 0.05))
-    mean_budget = float(harness.get("mean_budget", 0.02))
-    width = harness.get("level_width") or aligned_level_width(
-        0.8 * cfg.dt ** (1.0 / 3.0), levels)
-    n_bins = int(round(max(levels) / width)) + 1
-    bins = [int(round(a / width)) for a in levels]
+    x, levels, m_paths = harness["x"], harness["levels"], harness["paths"]
+    for a in levels:
+        # the branching batch is read at the grid step nearest each level
+        if abs(a / cfg.dt - round(a / cfg.dt)) > 1e-9:
+            raise ConfigurationError(
+                f"sim.dt: ray-knight level {a} is not a whole number of steps of {cfg.dt}")
+    try:
+        width = harness["level_width"] or aligned_level_width(
+            0.8 * cfg.dt ** (1.0 / 3.0), levels)
+    except ValueError as exc:
+        raise ConfigurationError(f"harness.levels: {exc}; set harness.level_width") from None
 
-    prof, = pool.map(_ray_knight_row, (mech, cfg, x, width, n_bins, bins), m_paths)
-    kept = ~np.isnan(prof[:, 0])
-    discarded = int(m_paths - kept.sum())
+    prof, = pool.map(_ray_knight_row, (mech, cfg, x, levels, width), m_paths)
+    kept, discarded, discard_cell = _discards(
+        prof[:, 0], note="report invalid above 5% non-passage")
     P = prof[kept]
-    n_kept = len(P)
-
     cb = cb_marginals(mech, x, cfg, m_paths, levels)
 
     report = MonteCarloReport(
-        check="ray-knight", sample_size=m_paths, discarded=discarded,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"x": x, "levels": levels, "lambdas": lambdas,
-                           "level_width": width}))
-    cells = report.cells
-    cells.append(CheckCell(
-        name="discard_rate", params={}, stat=discarded / m_paths, oracle=0.0,
-        stderr=0.0, tol=0.05, passed=discarded / m_paths <= 0.05,
-        note="report invalid above 5% non-passage"))
-
+        check="ray-knight", sample_size=m_paths, cells=[discard_cell],
+        discarded=discarded,
+        config_echo={"x": x, "levels": levels, "lambdas": harness["lambdas"],
+                     "level_width": width})
     for k, a in enumerate(levels):
-        la = P[:, k]
-        xa = cb[a]
         mean_oracle = oracle.cb_mean(x, a)
-        se_l = la.std(ddof=1) / math.sqrt(n_kept)
-        se_c = xa.std(ddof=1) / math.sqrt(len(xa))
-        cells.append(_gap_cell("mean_height_vs_oracle", {"a": a},
-                     la.mean(), mean_oracle, se_l, mean_budget * mean_oracle))
-        cells.append(_gap_cell("mean_cb_vs_oracle", {"a": a},
-                     xa.mean(), mean_oracle, se_c, mean_budget * mean_oracle))
-        for lam in lambdas:
+        budget = harness["mean_budget"] * mean_oracle
+        report.cells += [
+            _mean_cell("mean_height_vs_oracle", {"a": a}, P[:, k], mean_oracle, budget),
+            _mean_cell("mean_cb_vs_oracle", {"a": a}, cb[a], mean_oracle, budget)]
+        for lam in harness["lambdas"]:
             exact = math.exp(-x * oracle.v(a, lam))
-            eh = np.exp(-lam * la)
-            ec = np.exp(-lam * xa)
-            se_h = eh.std(ddof=1) / math.sqrt(n_kept)
-            se_cb = ec.std(ddof=1) / math.sqrt(len(ec))
-            cells.append(_gap_cell("laplace_height_vs_exact", {"a": a, "lam": lam},
-                         eh.mean(), exact, se_h, lap_budget * exact))
-            cells.append(_gap_cell("laplace_cb_vs_exact", {"a": a, "lam": lam},
-                         ec.mean(), exact, se_cb, lap_budget * exact))
-            cells.append(_gap_cell("laplace_height_vs_cb", {"a": a, "lam": lam},
-                         eh.mean(), ec.mean(), math.hypot(se_h, se_cb),
-                         lap_budget * exact))
-
-    cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), pool))
+            budget = harness["laplace_budget"] * exact
+            params = {"a": a, "lam": lam}
+            height = _mean_cell("laplace_height_vs_exact", params,
+                                np.exp(-lam * P[:, k]), exact, budget)
+            branching = _mean_cell("laplace_cb_vs_exact", params,
+                                   np.exp(-lam * cb[a]), exact, budget)
+            report.cells += [height, branching, _gap_cell(
+                "laplace_height_vs_cb", params, height.stat, branching.stat,
+                math.hypot(height.stderr, branching.stderr), budget)]
     return report
 
 
 # ---------------------------------------------------------------------------
-# suite 2: first-passage representation residual across a dt ladder
+# suites 2 and 3: the dt ladder
 # ---------------------------------------------------------------------------
+
+def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
+    """The dt ladder coarse to fine, each rung's ratio to the finest step,
+    its level width (a divisor of the lowest positive level near dt^(1/3),
+    strictly finer rung by rung) and the finest-step config run to horizon."""
+    dts = sorted(harness["dts"], reverse=True)
+    fine_dt = dts[-1]
+    ratios = [int(round(d / fine_dt)) for d in dts]
+    if any(abs(r * fine_dt - d) > 1e-12 for r, d in zip(ratios, dts)):
+        raise PreconditionError("dt ladder must be integer multiples of the finest dt")
+    base = min(a for a in levels if a > 0.0)
+    widths = []
+    div = 0
+    for dt in dts:
+        div = max(int(math.ceil(base / dt ** (1.0 / 3.0))), div + 1)
+        widths.append(base / div)
+    return dts, ratios, widths, _sub_config(cfg, fine_dt, horizon)
+
 
 def _residual_and_profile(path: LevyPath, x: float, levels, width: float):
     """For the path stopped at -x: per level, profile(a) - x - sum of
     1{H_left <= a} * piece increments, and profile(a); None when the path
     never reaches -x."""
-    cut = truncate_at_level(build_nodes(path), x)
-    if cut is None:
+    out = _heights(path, x)
+    if out is None:
         return None
-    nodes, _ = cut
-    height = scan_height(nodes, path.beta_eff).height
-    n_bins = int(round(max(levels) / width)) + 1
-    prof = occupation_profile(nodes.times, height, width, n_bins)[
-        [int(round(a / width)) for a in levels]]
+    nodes, sc = out
+    prof = _level_profile(nodes, sc.height, width, levels)
     d = np.diff(nodes.values)
-    return np.array([pa - x - d[height[:-1] <= a].sum() for a, pa in zip(levels, prof)]), prof
+    return np.array([pa - x - d[sc.height[:-1] <= a].sum() for a, pa in zip(levels, prof)]), prof
 
 
 def theorem1_residual(path: LevyPath, x: float, levels,
@@ -481,78 +605,44 @@ def _theorem1_row(spec, i: int) -> tuple:
     return res, prof
 
 
-@_pooled
-def theorem1_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                    oracle: BranchingMechanism | None = None, *,
-                    pool: PathPool) -> MonteCarloReport:
+@_suite(beta="theorem1 suite requires beta > 0")
+def theorem1_report(mech, cfg, harness, oracle, *, pool):
     """Residual of the stopped-path identity: the local-time profile at level
     a must equal x plus the left-point stochastic integral of 1{H <= a}
     against the path, with |mean residual| shrinking along the dt ladder."""
-    if mech.beta <= 0.0:
-        raise PreconditionError("theorem1 suite requires beta > 0")
-    oracle = oracle or mech
-    x = float(harness["x"])
-    levels = [float(a) for a in harness.get("residual_levels", harness["levels"])]
-    dts = sorted(float(d) for d in harness["dts"])[::-1]   # coarse -> fine
-    block = harness.get("theorem1", {})
-    m_paths = int(block.get("paths", 3000))
-    horizon = float(block.get("horizon", 20.0))
-    fine_dt = dts[-1]
-    ratios = [int(round(d / fine_dt)) for d in dts]
-    if any(abs(r * fine_dt - d) > 1e-12 for r, d in zip(ratios, dts)):
-        raise PreconditionError("dt ladder must be integer multiples of the finest dt")
-    widths = _ladder_widths(dts, levels)
-    fine_cfg = SimConfig(dt=fine_dt, horizon=horizon,
-                         truncation_delta=cfg.truncation_delta,
-                         small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
+    x, levels = harness["x"], harness["residual_levels"]
+    m_paths, horizon = harness["theorem1"]["paths"], harness["theorem1"]["horizon"]
+    dts, ratios, widths, fine_cfg = _ladder(cfg, harness, levels, horizon)
 
     res, prof_fine = pool.map(_theorem1_row,
                               (mech, fine_cfg, x, levels, ratios, widths), m_paths)
     res = np.ascontiguousarray(res.swapaxes(0, 1))     # (rung, path, level), C order
-    kept = ~np.isnan(res[0, :, 0])
-    discarded = int(m_paths - kept.sum())
+    kept, discarded, discard_cell = _discards(res[0, :, 0])
 
     report = MonteCarloReport(
-        check="theorem1", sample_size=m_paths, discarded=discarded,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"x": x, "residual_levels": levels, "dts": dts,
-                           "level_widths": widths, "horizon": horizon}))
-    cells = report.cells
-    cells.append(CheckCell(
-        name="discard_rate", params={}, stat=discarded / m_paths, oracle=0.0,
-        stderr=0.0, tol=0.05, passed=discarded / m_paths <= 0.05))
-
+        check="theorem1", sample_size=m_paths, cells=[discard_cell],
+        discarded=discarded,
+        config_echo={"x": x, "residual_levels": levels, "dts": dts,
+                     "level_widths": widths, "horizon": horizon})
     dev = []
     for r_idx, dt in enumerate(dts):
         R = res[r_idx, kept]
-        d_val = float(np.abs(R.mean(axis=0)).mean())
-        se = float((R.std(axis=0, ddof=1) / math.sqrt(len(R))).mean())
-        dev.append(d_val)
+        dev.append(float(np.abs(R.mean(axis=0)).mean()))
         final = r_idx == len(dts) - 1
         tol = 0.05 * x if final else math.inf
-        cells.append(CheckCell(
-            name="abs_mean_residual", params={"dt": dt}, stat=d_val, oracle=0.0,
-            stderr=se, tol=tol, passed=d_val <= tol,
+        report.cells.append(CheckCell(
+            name="abs_mean_residual", params={"dt": dt}, stat=dev[-1], oracle=0.0,
+            stderr=float(_se(R, axis=0).mean()), tol=tol, passed=dev[-1] <= tol,
             note="gate applies at the finest dt" if not final else ""))
-    cells.extend(_monotone_cells("residual_monotone_decrease", dts, dev))
+    report.cells += _monotone_cells("residual_monotone_decrease", dts, dev)
 
     Pf = prof_fine[kept]
     for k, a in enumerate(levels):
-        la = Pf[:, k]
         mo = oracle.cb_mean(x, a)
-        se = la.std(ddof=1) / math.sqrt(len(la))
-        cells.append(_gap_cell("mean_profile_vs_oracle", {"a": a, "dt": fine_dt},
-                               la.mean(), mo, se,
-                               float(harness.get("mean_budget", 0.02)) * mo))
-
-    cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), pool))
+        report.cells.append(_mean_cell("mean_profile_vs_oracle", {"a": a, "dt": dts[-1]},
+                                       Pf[:, k], mo, harness["mean_budget"] * mo))
     return report
 
-
-# ---------------------------------------------------------------------------
-# suite 3: Tanaka estimates vs occupation estimates across the dt ladder
-# ---------------------------------------------------------------------------
 
 def _tanaka_row(spec, i: int) -> tuple:
     """Occupation and Tanaka (plus) local time of path i at each rung and
@@ -561,35 +651,22 @@ def _tanaka_row(spec, i: int) -> tuple:
     p = sample_path(mech, cfg, path_index=_NS_TANAKA + i)
     occ, tan, gap = [], [], 0.0
     for ratio, width in zip(ratios, widths):
-        nodes = build_nodes(coarsen_path(p, ratio))
-        sc = scan_height(nodes, p.beta_eff)
-        n_bins = int(round(max(levels) / width)) + 1
-        pr = occupation_profile(nodes.times, sc.height, width, n_bins)
-        occ.append(pr[[int(round(a / width)) for a in levels]])
+        nodes, sc = _heights(coarsen_path(p, ratio))
+        occ.append(_level_profile(nodes, sc.height, width, levels))
         tan.append([tanaka_local_time(sc, a, "plus") for a in levels])
         minus = [tanaka_local_time(sc, a, "minus") for a in levels]
         gap = max([gap] + [abs(pl - mi) for pl, mi in zip(tan[-1], minus)])
     return occ, tan, gap
 
 
-@_pooled
-def tanaka_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                  oracle: BranchingMechanism | None = None, *,
-                  pool: PathPool) -> MonteCarloReport:
-    if mech.beta <= 0.0:
-        raise PreconditionError("tanaka suite requires beta > 0")
-    oracle = oracle or mech
-    levels = [float(a) for a in harness.get("residual_levels", harness["levels"])]
-    dts = sorted(float(d) for d in harness["dts"])[::-1]
-    block = harness.get("tanaka", {})
-    m_paths = int(block.get("paths", 3000))
-    t_window = float(block.get("t", 2.0))
-    fine_dt = dts[-1]
-    ratios = [int(round(d / fine_dt)) for d in dts]
-    widths = _ladder_widths(dts, levels)
-    fine_cfg = SimConfig(dt=fine_dt, horizon=t_window,
-                         truncation_delta=cfg.truncation_delta,
-                         small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
+@_suite(beta="tanaka suite requires beta > 0")
+def tanaka_report(mech, cfg, harness, oracle, *, pool):
+    """Tanaka-style local times against occupation estimates over a fixed
+    window along the dt ladder, and the pathwise agreement of the plus and
+    minus variants."""
+    levels = harness["residual_levels"]
+    m_paths, t_window = harness["tanaka"]["paths"], harness["tanaka"]["t"]
+    dts, ratios, widths, fine_cfg = _ladder(cfg, harness, levels, t_window)
 
     occ, tan, pm_gap = pool.map(_tanaka_row,
                                 (mech, fine_cfg, levels, ratios, widths), m_paths)
@@ -598,44 +675,27 @@ def tanaka_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
 
     report = MonteCarloReport(
         check="tanaka", sample_size=m_paths,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"levels": levels, "dts": dts, "t": t_window,
-                           "level_widths": widths}))
-    cells = report.cells
+        config_echo={"levels": levels, "dts": dts, "t": t_window,
+                     "level_widths": widths})
     dev = []
     for r_idx, dt in enumerate(dts):
-        gap_levels = np.abs(occ[r_idx].mean(axis=0) - tan[r_idx].mean(axis=0))
-        d_val = float(gap_levels.mean())
-        se = float(((occ[r_idx] - tan[r_idx]).std(axis=0, ddof=1)
-                    / math.sqrt(m_paths)).mean())
-        dev.append(d_val)
+        dev.append(float(np.abs(occ[r_idx].mean(axis=0) - tan[r_idx].mean(axis=0)).mean()))
         final = r_idx == len(dts) - 1
         mean_lt = float(occ[r_idx].mean())
         tol = 0.05 * mean_lt if final else math.inf
-        cells.append(CheckCell(
+        report.cells.append(CheckCell(
             name="abs_mean_deviation", params={"dt": dt, "mean_local_time": mean_lt},
-            stat=d_val, oracle=0.0, stderr=se, tol=tol, passed=d_val <= tol,
+            stat=dev[-1], oracle=0.0,
+            stderr=float(_se(occ[r_idx] - tan[r_idx], axis=0).mean()),
+            tol=tol, passed=dev[-1] <= tol,
             note="gate: 5% of mean local time at the finest dt" if final else ""))
-    cells.extend(_monotone_cells("deviation_monotone_decrease", dts, dev))
+    report.cells += _monotone_cells("deviation_monotone_decrease", dts, dev)
     worst_pm = float(pm_gap.max())
-    cells.append(CheckCell(
+    report.cells.append(CheckCell(
         name="plus_minus_pathwise", params={}, stat=worst_pm, oracle=0.0,
         stderr=0.0, tol=1e-9, passed=worst_pm <= 1e-9,
         note="algebraic identity of the two variants"))
-    cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), pool))
     return report
-
-
-def _ladder_widths(dts, levels) -> list[float]:
-    base = min(a for a in levels if a > 0.0)
-    widths = []
-    prev_div = 0
-    for dt in dts:
-        div = max(int(math.ceil(base / dt ** (1.0 / 3.0))), prev_div + 1)
-        widths.append(base / div)
-        prev_div = div
-    return widths
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +707,7 @@ def _noise_row(spec, i: int) -> tuple:
     covers u_max there."""
     mech, cfg, f, a_lvl, u_max, width, n_bins = spec
     p = sample_path(mech, cfg, path_index=_NS_NOISE + i)
-    nodes = build_nodes(p)
-    sc = scan_height(nodes, p.beta_eff)
+    nodes, sc = _heights(p)
     lb = level_bins(nodes.times, sc.height, width)
     run = running_local_time(nodes.times, sc.height, width, binned=lb)
     h_left = sc.height[:-1]
@@ -657,35 +716,25 @@ def _noise_row(spec, i: int) -> tuple:
     return float((fv * _cell_brownian(p, nodes)).sum()), prof.min() >= u_max
 
 
-@_pooled
-def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                       oracle: BranchingMechanism | None = None, *,
-                       pool: PathPool) -> MonteCarloReport:
+@_suite(beta="white-noise suite requires beta > 0 (a Brownian part)")
+def white_noise_report(mech, cfg, harness, oracle, *, pool):
     """The stochastic integral of f(H_s, L_s(H_s)) against the Brownian part,
     restricted to heights below a, must be centered Gaussian with variance
     int_0^a ds int f(s,u)^2 du once the local-time profile has outgrown the
     u-support of f (coverage)."""
-    if mech.beta <= 0.0:
-        raise PreconditionError("white-noise suite requires beta > 0 (a Brownian part)")
-    oracle = oracle or mech
-    block = harness.get("noise", {})
-    a_lvl = float(block.get("a", 1.0))
-    u_max = float(block.get("u_max", 1.0))
-    f = block.get("f") or indicator_box(a_lvl, u_max)
-    m_paths = int(block.get("paths", 4000))
-    dt = float(block.get("dt", 1e-3))
-    horizon = float(block.get("horizon", 24.0))
-    width = float(block.get("level_width", 0.05))
-    sub = SimConfig(dt=dt, horizon=horizon, truncation_delta=cfg.truncation_delta,
-                    small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
+    block = harness["noise"]
+    a_lvl, u_max, width = block["a"], block["u_max"], block["level_width"]
+    m_paths = block["paths"]
+    f = block["f"] or indicator_box(a_lvl, u_max)
+    sub = _sub_config(cfg, block["dt"], block["horizon"])
     n_bins = max(1, int(round(a_lvl / width)))
 
     w_hat, covered = pool.map(_noise_row,
                               (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
 
-    mean = float(w_hat.mean())
+    mean_cell = _mean_cell("mean", {}, w_hat, 0.0, 0.0)
+    mean = mean_cell.stat
     var = float(w_hat.var(ddof=1))
-    se_mean = float(w_hat.std(ddof=1) / math.sqrt(m_paths))
     m4 = float(((w_hat - mean) ** 4).mean())
     se_var = math.sqrt(max(m4 - var ** 2, 0.0) / m_paths)
     sd = w_hat.std(ddof=0)
@@ -693,24 +742,15 @@ def white_noise_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
     var_oracle = f.l2_integral(a_lvl)
     coverage = float(covered.mean())
 
-    report = MonteCarloReport(
+    return MonteCarloReport(
         check="noise", sample_size=m_paths,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"a": a_lvl, "u_max": u_max, "dt": dt,
-                           "horizon": horizon, "level_width": width}))
-    report.cells.extend([
-        CheckCell("mean", {}, mean, 0.0, se_mean, 3 * se_mean,
-                  abs(mean) <= 3 * se_mean),
-        _gap_cell("variance", {}, var, var_oracle, se_var, 0.05 * var_oracle),
-        CheckCell("skewness", {}, skew, 0.0, math.sqrt(6.0 / m_paths),
-                  3 * math.sqrt(6.0 / m_paths),
-                  abs(skew) <= 3 * math.sqrt(6.0 / m_paths)),
-        CheckCell("coverage", {}, coverage, 1.0, 0.0, 0.1, coverage >= 0.9,
-                  note="fraction of paths whose profile exceeds u_max below a"),
-    ])
-    report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), pool))
-    return report
+        cells=[mean_cell,
+               _gap_cell("variance", {}, var, var_oracle, se_var, 0.05 * var_oracle),
+               _gap_cell("skewness", {}, skew, 0.0, math.sqrt(6.0 / m_paths), 0.0),
+               CheckCell("coverage", {}, coverage, 1.0, 0.0, 0.1, coverage >= 0.9,
+                         note="fraction of paths whose profile exceeds u_max below a")],
+        config_echo={"a": a_lvl, "u_max": u_max, "dt": block["dt"],
+                     "horizon": block["horizon"], "level_width": width})
 
 
 def _cell_brownian(path: LevyPath, nodes) -> np.ndarray:
@@ -738,12 +778,10 @@ def _poisson_row(spec, i: int) -> tuple:
     each box, and its profile at the top box level (NaN, not covered, NaN
     if it misses -x)."""
     mech, cfg, x, boxes, box_bins, width, n_prof, j_level = spec
-    p = sample_path(mech, cfg, path_index=_NS_POISSON + i, stop_level=x)
-    cut = truncate_at_level(build_nodes(p), x)
-    if cut is None:
+    out = _heights(sample_path(mech, cfg, path_index=_NS_POISSON + i, stop_level=x), x)
+    if out is None:
         return np.full(len(boxes), np.nan), np.zeros(len(boxes), dtype=bool), np.nan
-    nodes, _ = cut
-    sc = scan_height(nodes, p.beta_eff)
+    nodes, sc = out
     lb = level_bins(nodes.times, sc.height, width)
     run = running_local_time(nodes.times, sc.height, width, binned=lb)
     prof = occupation_profile(nodes.times, sc.height, width, n_prof, binned=lb)
@@ -756,28 +794,17 @@ def _poisson_row(spec, i: int) -> tuple:
     return np.array(counts, dtype=float), np.array(covered), prof[j_level]
 
 
-@_pooled
-def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                         oracle: BranchingMechanism | None = None, *,
-                         pool: PathPool) -> MonteCarloReport:
+@_suite(jumps="poisson-marks suite requires a jump-bearing mechanism",
+        beta="poisson-marks suite requires beta > 0")
+def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
     """Jump marks (height, size, running local time at that height) of the
     stopped path, counted in boxes, behave like a unit-intensity Poisson
     measure in ds x pi(dz) x du on covered boxes."""
-    if mech.jumps.is_zero:
-        raise PreconditionError("poisson-marks suite requires a jump-bearing mechanism")
-    if mech.beta <= 0.0:
-        raise PreconditionError("poisson-marks suite requires beta > 0")
-    oracle = oracle or mech
-    block = harness.get("poisson", {})
-    x = float(block.get("x", 4.0))
+    block = harness["poisson"]
+    x, m_paths, width = block["x"], block["paths"], block["level_width"]
     boxes = [MarkBox(tuple(b["a"]), tuple(b["z"]), tuple(b["u"]))
-             for b in harness.get("boxes", [])] or [MarkBox((0.0, 0.5), (0.8, 1.2), (0.0, 0.5))]
-    m_paths = int(block.get("paths", 4000))
-    dt = float(block.get("dt", 5e-4))
-    horizon = float(block.get("horizon", 60.0))
-    width = float(block.get("level_width", 0.05))
-    sub = SimConfig(dt=dt, horizon=horizon, truncation_delta=cfg.truncation_delta,
-                    small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
+             for b in harness["boxes"] or DEFAULT_HARNESS["boxes"]]
+    sub = _sub_config(cfg, block["dt"], block["horizon"])
 
     prof_level = max(b.a[1] for b in boxes)
     # profile bins each box's coverage reads, and the bin of prof_level
@@ -790,26 +817,21 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
 
     counts, covered, prof_vals = pool.map(
         _poisson_row, (mech, sub, x, boxes, box_bins, width, n_prof, j_level), m_paths)
-    kept = ~np.isnan(counts[:, 0])
-    discarded = int(m_paths - kept.sum())
+    kept, discarded, discard_cell = _discards(counts[:, 0])
     C = counts[kept]
     report = MonteCarloReport(
-        check="poisson-marks", sample_size=m_paths, discarded=discarded,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"x": x, "dt": dt, "horizon": horizon,
-                           "level_width": width,
-                           "boxes": [{"a": list(b.a), "z": list(b.z), "u": list(b.u)}
-                                     for b in boxes]}))
-    cells = report.cells
-    cells.append(CheckCell("discard_rate", {}, discarded / m_paths, 0.0, 0.0,
-                           0.05, discarded / m_paths <= 0.05))
+        check="poisson-marks", sample_size=m_paths, cells=[discard_cell],
+        discarded=discarded,
+        config_echo={"x": x, "dt": block["dt"], "horizon": block["horizon"],
+                     "level_width": width,
+                     "boxes": [{"a": list(b.a), "z": list(b.z), "u": list(b.u)}
+                               for b in boxes]})
     for b_idx, b in enumerate(boxes):
         c = C[:, b_idx]
         intensity = b.volume_intensity(oracle)
-        se = c.std(ddof=1) / math.sqrt(len(c))
-        cells.append(_gap_cell("mark_count_mean",
-                               {"box": b_idx, "intensity": intensity},
-                               c.mean(), intensity, se, 0.0))
+        report.cells.append(_mean_cell("mark_count_mean",
+                                       {"box": b_idx, "intensity": intensity},
+                                       c, intensity, 0.0))
         if c.mean() > 0:
             fano = float(c.var(ddof=1) / c.mean())
             fano_ok = bool(0.8 <= fano <= 1.2)
@@ -819,20 +841,15 @@ def poisson_marks_report(mech: BranchingMechanism, cfg: SimConfig, harness: dict
             fano = 1.0 if intensity == 0.0 else math.inf
             fano_ok = intensity == 0.0
             note = "degenerate zero-count box"
-        cells.append(CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0,
-                               0.2, fano_ok, note=note))
         cov = float(covered[kept, b_idx].mean())
-        cells.append(CheckCell("coverage", {"box": b_idx}, cov, 1.0, 0.0, 0.1,
-                               cov >= 0.9,
-                               note="box unreliable below 90% coverage"))
-    la = prof_vals[kept]
+        report.cells += [
+            CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0, 0.2, fano_ok,
+                      note=note),
+            CheckCell("coverage", {"box": b_idx}, cov, 1.0, 0.0, 0.1, cov >= 0.9,
+                      note="box unreliable below 90% coverage")]
     mo = oracle.cb_mean(x, prof_level)
-    se = la.std(ddof=1) / math.sqrt(len(la))
-    cells.append(_gap_cell("mean_profile_vs_oracle", {"a": prof_level},
-                           la.mean(), mo, se,
-                           float(harness.get("mean_budget", 0.02)) * mo))
-    cells.extend(_exponent_cells(mech, oracle, cfg,
-                                 harness.get("exponent_check", {}), pool))
+    report.cells.append(_mean_cell("mean_profile_vs_oracle", {"a": prof_level},
+                                   prof_vals[kept], mo, harness["mean_budget"] * mo))
     return report
 
 
@@ -854,51 +871,40 @@ def _reflected_row(spec, i: int) -> tuple:
             float(s_run[-1]) - ds_sum)
 
 
-@_pooled
-def reflected_supremum_report(mech: BranchingMechanism, cfg: SimConfig,
-                              harness: dict,
-                              oracle: BranchingMechanism | None = None, *,
-                              pool: PathPool) -> MonteCarloReport:
+@_suite(beta="reflected suite requires beta > 0")
+def reflected_supremum_report(mech, cfg, harness, oracle, *, pool):
     """beta * (local time of S - xi at 0) recovers the continuous part of the
     supremum, S_t minus its jump increases; band occupation near zero
     estimates the local time, refining with dt."""
-    if mech.beta <= 0.0:
-        raise PreconditionError("reflected suite requires beta > 0")
-    oracle = oracle or mech
-    block = harness.get("reflected", {})
-    t_end = float(block.get("t", 1.0))
-    m_paths = int(block.get("paths", 3000))
-    band_mult = float(block.get("band_mult", 16.0))
-    dts = sorted(float(d) for d in harness["dts"])[::-1]
+    block = harness["reflected"]
+    t_end, m_paths, band_mult = block["t"], block["paths"], block["band_mult"]
+    dts = sorted(harness["dts"], reverse=True)
     beta = mech.beta + (0.5 * mech.jumps.m2_below(cfg.truncation_delta)
                         if cfg.small_jump_mode == "gaussian_correction" else 0.0)
     has_jumps = not mech.jumps.is_zero
 
     report = MonteCarloReport(
         check="reflected", sample_size=m_paths,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"t": t_end, "dts": dts, "band_mult": band_mult}))
+        config_echo={"t": t_end, "dts": dts, "band_mult": band_mult})
     devs = []
     for dt in dts:
-        sub = SimConfig(dt=dt, horizon=t_end, truncation_delta=cfg.truncation_delta,
-                        small_jump_mode=cfg.small_jump_mode, seed=cfg.seed)
         h_band = band_mult * math.sqrt(2.0 * beta * dt)
-        lhs, rhs = pool.map(_reflected_row, (mech, sub, beta, h_band), m_paths)
+        lhs, rhs = pool.map(_reflected_row,
+                            (mech, _sub_config(cfg, dt, t_end), beta, h_band), m_paths)
         rel = abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())
         devs.append(rel)
+        # the spreads are combined before dividing by sqrt(m); _se of each side
+        # would round differently and change the reported stderr
         se = float(np.hypot(lhs.std(ddof=1), rhs.std(ddof=1))
                    / math.sqrt(m_paths) / abs(rhs.mean()))
-        final = dt == dts[-1]
-        gate = has_jumps and final
+        gate = has_jumps and dt == dts[-1]
         tol = 0.05 if gate else math.inf
         report.cells.append(CheckCell(
             name="identity_rel_dev", params={"dt": dt, "band": h_band},
             stat=float(rel), oracle=0.0, stderr=se, tol=tol,
             passed=rel <= tol,
             note="5% gate at finest dt (jump mechanisms)" if gate else ""))
-    report.cells.extend(_monotone_cells("deviation_monotone_decrease", dts, devs))
-    report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), pool))
+    report.cells += _monotone_cells("deviation_monotone_decrease", dts, devs)
     return report
 
 
@@ -913,23 +919,12 @@ def _example_row(spec, i: int) -> tuple:
     return ((v[-1] - v.min()) / mech.beta,)
 
 
-@_pooled
-def brownian_example_report(cfg: SimConfig, harness: dict,
-                            oracle: BranchingMechanism | None = None, *,
-                            pool: PathPool) -> MonteCarloReport:
-    """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
-    is distributed like twice the absolute value of a Gaussian with variance
-    t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
-    mech = BranchingMechanism(**_EXAMPLE_MECH)
-    oracle = oracle or mech
-    block = harness.get("example", {})
-    m_paths = int(block.get("paths", 5000))
-    dt = float(block.get("dt", 2e-4))
-    t_end = float(block.get("t", 1.0))
-    sub = SimConfig(dt=dt, horizon=t_end, truncation_delta=0.0,
-                    small_jump_mode="drop_compensated", seed=cfg.seed)
+@_suite(fixed_mech=BranchingMechanism(alpha=0.0, beta=0.5))
+def _brownian_example(mech, cfg, harness, oracle, *, pool):
+    block = harness["example"]
+    m_paths, dt, t_end = block["paths"], block["dt"], block["t"]
 
-    hs, = pool.map(_example_row, (mech, sub), m_paths)
+    hs, = pool.map(_example_row, (mech, _sub_config(cfg, dt, t_end)), m_paths)
     hs_sorted = np.sort(hs)
     scale = 2.0 * math.sqrt(2.0 * t_end)
     cdf = np.array([math.erf(h / scale) for h in hs_sorted])
@@ -937,34 +932,43 @@ def brownian_example_report(cfg: SimConfig, harness: dict,
     grid_lo = np.arange(0, m_paths) / m_paths
     ks = float(max(np.abs(grid_hi - cdf).max(), np.abs(cdf - grid_lo).max()))
     crit = 1.62762 / (math.sqrt(m_paths) + 0.12 + 0.11 / math.sqrt(m_paths))
-
     mean_oracle = 2.0 * math.sqrt(2.0 * t_end / math.pi)
-    se = hs.std(ddof=1) / math.sqrt(m_paths)
 
-    report = MonteCarloReport(
+    return MonteCarloReport(
         check="example", sample_size=m_paths,
-        config_echo=_echo(mech, cfg, oracle,
-                          {"t": t_end, "dt": dt}))
-    report.cells.append(CheckCell(
-        name="ks_distance", params={"t": t_end}, stat=ks, oracle=0.0,
-        stderr=0.0, tol=crit, passed=ks <= crit,
-        note="1% critical value for the half-normal comparison"))
-    report.cells.append(_gap_cell("mean_height", {"t": t_end}, hs.mean(),
-                                  mean_oracle, se, 0.02 * mean_oracle))
-    report.cells.append(CheckCell(
-        name="nonnegative", params={}, stat=float(hs.min()), oracle=0.0,
-        stderr=0.0, tol=0.0, passed=bool(hs.min() >= 0.0)))
-    report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                        harness.get("exponent_check", {}), pool))
-    return report
+        cells=[CheckCell(name="ks_distance", params={"t": t_end}, stat=ks, oracle=0.0,
+                         stderr=0.0, tol=crit, passed=ks <= crit,
+                         note="1% critical value for the half-normal comparison"),
+               _mean_cell("mean_height", {"t": t_end}, hs, mean_oracle,
+                          0.02 * mean_oracle),
+               CheckCell(name="nonnegative", params={}, stat=float(hs.min()), oracle=0.0,
+                         stderr=0.0, tol=0.0, passed=bool(hs.min() >= 0.0))],
+        config_echo={"t": t_end, "dt": dt})
+
+
+def brownian_example_report(cfg: SimConfig, harness: dict,
+                            oracle: BranchingMechanism | None = None, *,
+                            jobs: int = 1, pool: PathPool | None = None) -> MonteCarloReport:
+    """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
+    is distributed like twice the absolute value of a Gaussian with variance
+    t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
+    return _brownian_example(None, cfg, harness, oracle, jobs=jobs, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
 
-SUITES = ("ray-knight", "theorem1", "tanaka", "noise", "poisson-marks",
-          "reflected", "example")
+# every report function here takes (mech, cfg, harness, oracle=None, *, jobs, pool)
+SUITES = {
+    "ray-knight": ray_knight_report,
+    "theorem1": theorem1_report,
+    "tanaka": tanaka_report,
+    "noise": white_noise_report,
+    "poisson-marks": poisson_marks_report,
+    "reflected": reflected_supremum_report,
+    "example": _brownian_example,
+}
 
 
 def run_suite(name: str, mech: BranchingMechanism, cfg: SimConfig,
@@ -972,26 +976,9 @@ def run_suite(name: str, mech: BranchingMechanism, cfg: SimConfig,
               pool: PathPool | None = None) -> MonteCarloReport:
     """One suite, on pool if given, else on a pool of its own with jobs
     workers."""
-    offset = float(harness.get("oracle_alpha_offset", 0.0))
-    if name == "example":
-        base = BranchingMechanism(**_EXAMPLE_MECH)
-        oracle = replace(base, alpha=base.alpha + offset) if offset else base
-        return brownian_example_report(cfg, harness, oracle=oracle, jobs=jobs, pool=pool)
-    suite = _MECHANISM_SUITES.get(name)
-    if suite is None:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
-    return suite(mech, cfg, harness, oracle=oracle, jobs=jobs, pool=pool)
-
-
-_MECHANISM_SUITES = {
-    "ray-knight": ray_knight_report,
-    "theorem1": theorem1_report,
-    "tanaka": tanaka_report,
-    "noise": white_noise_report,
-    "poisson-marks": poisson_marks_report,
-    "reflected": reflected_supremum_report,
-}
+    return SUITES[name](mech, cfg, harness, jobs=jobs, pool=pool)
 
 
 def run_all(mech: BranchingMechanism, cfg: SimConfig, harness: dict,

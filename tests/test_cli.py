@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "levyforest.cli"]
 
@@ -211,6 +213,15 @@ def test_bad_level_width_exits_2(tmp_path, value):
     assert "harness.level_width" in r.stderr
 
 
+@pytest.mark.parametrize("value", [3, "", None])
+def test_bad_out_dir_exits_2(tmp_path, value):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {"out_dir": value}})
+    r = run_cli("simulate", "levy", "--config", cfg)
+    assert r.returncode == 2
+    assert "harness.out_dir" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_zero_noise_level_width_is_a_config_error(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"harness": {"noise": {"level_width": 0}}})
     r = run_cli("verify", "noise", "--config", cfg, "--out", str(tmp_path / "v"))
@@ -305,3 +316,110 @@ def test_config_unit_box_writes_the_default_report(tmp_path):
 def test_jobs_defaults_to_one_thread():
     from levyforest.cli import _build_parser
     assert _build_parser().parse_args(["verify", "noise"]).jobs == 1
+
+
+@pytest.mark.parametrize("paths", ["0", "-3", "1"])
+def test_paths_flag_below_two_exits_2(tmp_path, paths):
+    cfg = write_cfg(tmp_path, "c.json", SMALL_VERIFY)
+    r = run_cli("verify", "ray-knight", "--config", cfg, "--out", str(tmp_path / "v"),
+                "--paths", paths)
+    assert r.returncode == 2
+    assert "harness.paths" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("suite,how", [("ray-knight", "flag"), ("all", "flag"),
+                                       ("ray-knight", "config")])
+def test_ray_knight_level_off_the_grid_exits_2(tmp_path, suite, how):
+    # levels 0.5 and 1.0 are not whole numbers of 0.7 steps
+    obj = json.loads(json.dumps(SMALL_VERIFY))
+    flags = ["--dt", "0.7"]
+    if how == "config":
+        obj["sim"]["dt"], flags = 0.7, []
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = run_cli("verify", suite, "--config", cfg, "--out", str(tmp_path / "v"), *flags)
+    assert r.returncode == 2, r.stderr
+    assert "sim.dt" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+# -- the CLI boundary under drawn configs and flags ---------------------------
+
+FUZZ_CONFIG = {
+    "mechanism": {"alpha": 0.5, "beta": 1.0},
+    "sim": {"dt": 0.01, "horizon": 4.0, "seed": 3},
+    "harness": {
+        "paths": 6, "levels": [0.25, 0.5], "lambdas": [1.0], "dts": [0.02, 0.01],
+        "residual_levels": [0.25, 0.5],
+        "theorem1": {"paths": 4, "horizon": 4.0}, "tanaka": {"paths": 4, "t": 0.5},
+        "noise": {"paths": 4, "dt": 0.01, "horizon": 2.0},
+        "poisson": {"paths": 4, "x": 1.0, "dt": 0.01, "horizon": 4.0},
+        "reflected": {"paths": 4, "t": 0.5}, "example": {"paths": 4, "dt": 0.01},
+        "exponent_check": {"paths": 4, "dt": 0.1, "t": 0.5},
+    },
+}
+FUZZ_FIELDS = [
+    ("mechanism", "alpha"), ("mechanism", "beta"), ("mechanism", "jumps"),
+    ("sim", "dt"), ("sim", "horizon"), ("sim", "seed"), ("sim", "truncation_delta"),
+    ("sim", "small_jump_mode"),
+    ("harness", "paths"), ("harness", "x"), ("harness", "levels"),
+    ("harness", "lambdas"), ("harness", "dts"), ("harness", "residual_levels"),
+    ("harness", "level_width"), ("harness", "mean_budget"), ("harness", "boxes"),
+    ("harness", "oracle_alpha_offset"),
+    ("harness", "theorem1", "horizon"), ("harness", "tanaka", "t"),
+    ("harness", "noise", "level_width"), ("harness", "noise", "a"),
+    ("harness", "noise", "f"), ("harness", "poisson", "x"),
+    ("harness", "reflected", "band_mult"), ("harness", "example", "t"),
+    ("harness", "exponent_check", "lambdas"), ("harness", "exponent_check", "paths"),
+]
+# small values only: nothing drawn here can ask for a large run
+FUZZ_VALUES = [0, -3, 1, 2, 3, 0.3, 0.7, -0.5, float("nan"), float("inf"), None,
+               True, "x", [], {}, [0.0], [-1.0], [float("nan")], [0.5, 0.25], [0.3, 0.7],
+               {"atoms": [{"z": 1.0, "w": 1.0}]},
+               {"power_law": {"c": 1.0, "sigma": 1.5, "z_min": 0.0, "z_max": 1.0}}]
+FUZZ_COMMANDS = ([["verify", s] for s in ("ray-knight", "theorem1", "tanaka", "noise",
+                                          "poisson-marks", "reflected", "example", "all")]
+                 + [["simulate", k] for k in ("levy", "cb", "height")]
+                 + [["mechanism", "info"]])
+# words by which an exit-2/3 message names what it rejects
+FIELD_WORDS = ("sim.", "harness", "mechanism", "config", "alpha", "beta", "atom",
+               "power_law", "psi", "jump", "Grey", "truncation_delta")
+
+
+def _fuzz_run(tmp_path, capsys, command, edits, flags):
+    from levyforest.cli import main
+
+    obj = json.loads(json.dumps(FUZZ_CONFIG))
+    for fld, val in edits:
+        block = obj
+        for key in fld[:-1]:
+            block = block[key]
+        block[fld[-1]] = val
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                           "--jobs", "1"] + flags)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (code, err)
+    if code in (2, 3):
+        message = err.strip().splitlines()[-1]
+        assert message.startswith(("configuration error: ", "precondition violated: "))
+        assert any(w in message for w in FIELD_WORDS), message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # NaN and inf inputs
+@settings(max_examples=400, deadline=2000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(FUZZ_COMMANDS),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES)),
+                      max_size=2),
+       flags=st.lists(st.sampled_from([["--paths", "0"], ["--paths", "-3"], ["--paths", "1"],
+                                       ["--paths", "3"], ["--dt", "0.7"], ["--dt", "0.02"],
+                                       ["--dt", "0"], ["--seed", "-1"], ["--seed", "9"],
+                                       ["--negative-control"]]),
+                      max_size=2).map(lambda fs: [a for f in fs for a in f]))
+@example(command=["verify", "ray-knight"], edits=[], flags=["--paths", "0"])
+@example(command=["verify", "ray-knight"], edits=[], flags=["--dt", "0.7"])
+def test_cli_runs_or_names_the_field(tmp_path, capsys, command, edits, flags):
+    _fuzz_run(tmp_path, capsys, command, edits, flags)

@@ -15,6 +15,7 @@ from levyforest.verify import (
     indicator_box,
     run_all,
     run_suite,
+    tanaka_report,
 )
 
 FELLER = BranchingMechanism(0.5, 1.0)
@@ -268,3 +269,40 @@ def test_theorem1_residual_per_path():
     assert abs(res[0]) < 1.0
     short = sample_path(FELLER, SimConfig(dt=1e-3, horizon=0.01, seed=41))
     assert theorem1_residual(short, 50.0, [0.25]) is None
+
+
+def test_run_all_calls_every_traced_layer(monkeypatch):
+    # perfbench --trace wraps these names in levyforest.verify; a refactor
+    # that stops calling one through the module global leaves it blind
+    import levyforest.verify as verify
+    layers = ("sample_path", "coarsen_path", "build_nodes", "truncate_at_level",
+              "scan_height", "running_local_time", "occupation_profile",
+              "tanaka_local_time", "cb_marginals", "run_suite")
+    calls = dict.fromkeys(layers, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in layers:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    reports = run_all(JUMPY, CFG, TINY, jobs=1)
+    assert not any(r.skipped for r in reports)
+    assert calls["run_suite"] == 7
+    assert all(calls.values()), calls
+
+
+def test_direct_theorem1_run_takes_the_default_horizon():
+    h = dict(TINY, theorem1={"paths": 30})
+    rep = run_suite("theorem1", FELLER, CFG, h, jobs=1)
+    assert rep.config_echo["horizon"] == 24.0
+    assert rep.sample_size == 30
+
+
+def test_tanaka_rejects_a_ladder_off_the_finest_step():
+    # 3e-3 is 1.5 steps of 2e-3: coarsening by round(1.5) = 2 would label
+    # the 4e-3 rung as 3e-3
+    with pytest.raises(PreconditionError, match="dt ladder"):
+        tanaka_report(FELLER, CFG, dict(TINY, dts=[3e-3, 2e-3]), jobs=1)
