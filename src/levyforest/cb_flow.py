@@ -23,14 +23,13 @@ argument fails at finite step size).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mechanism import BranchingMechanism
-from .paths import SimConfig, path_stream
+from .paths import SimConfig, path_stream, simulated_law, write_csv
 
 __all__ = [
     "CBTrajectory",
@@ -56,10 +55,7 @@ class CBTrajectory:
         return np.arange(len(self.values)) * self.dt
 
     def write_csv(self, fp) -> None:
-        w = csv.writer(fp)
-        w.writerow(["time", "value"])
-        for t, v in zip(self.grid_times(), self.values):
-            w.writerow([repr(float(t)), repr(float(v))])
+        write_csv(fp, ["time", "value"], self.grid_times(), self.values)
 
 
 @dataclass(frozen=True)
@@ -72,22 +68,9 @@ class FlowEnsemble:
         return np.arange(self.values.shape[1]) * self.dt
 
     def write_csv(self, fp) -> None:
-        w = csv.writer(fp)
-        w.writerow(["time", "x0", "value"])
-        times = self.grid_times()
-        for row, x0 in zip(self.values, self.initial_masses):
-            for t, v in zip(times, row):
-                w.writerow([repr(float(t)), repr(float(x0)), repr(float(v))])
-
-
-def _effective_terms(mech: BranchingMechanism, cfg: SimConfig):
-    delta = cfg.truncation_delta
-    rate, draw = mech.jumps.sampler_above(delta)
-    comp = mech.jumps.mean_above(delta)
-    var_rate = 2.0 * mech.beta
-    if cfg.small_jump_mode == "gaussian_correction":
-        var_rate += mech.jumps.m2_below(delta)
-    return rate, draw, comp, var_rate
+        k, n = self.values.shape
+        write_csv(fp, ["time", "x0", "value"], np.tile(self.grid_times(), k),
+                  np.repeat(self.initial_masses, n), self.values.ravel())
 
 
 def simulate_cb(mech: BranchingMechanism, x: float, cfg: SimConfig, *,
@@ -95,7 +78,7 @@ def simulate_cb(mech: BranchingMechanism, x: float, cfg: SimConfig, *,
     """One trajectory from initial mass x, with its applied-jump log."""
     if x < 0.0:
         raise ValueError("initial mass must be >= 0")
-    rate, draw, comp, var_rate = _effective_terms(mech, cfg)
+    rate, draw, comp, var_rate = simulated_law(mech, cfg)
     rng = path_stream(cfg.seed, CB_STREAM_BASE + stream_index)
     n = cfg.n_cells
     dt = cfg.dt
@@ -122,7 +105,7 @@ def cb_marginals(mech: BranchingMechanism, x: float, cfg: SimConfig, m_paths: in
                  times: list[float], *, stream_index: int = 0) -> dict[float, np.ndarray]:
     """Vectorized batch of trajectories; returns the state at the requested
     grid times across all paths (the Monte Carlo workhorse)."""
-    rate, draw, comp, var_rate = _effective_terms(mech, cfg)
+    rate, draw, comp, var_rate = simulated_law(mech, cfg)
     rng = path_stream(cfg.seed, CB_STREAM_BASE + 1 + stream_index)
     dt = cfg.dt
     sq = math.sqrt(dt)
@@ -150,38 +133,15 @@ def cb_marginals(mech: BranchingMechanism, x: float, cfg: SimConfig, m_paths: in
 
 
 def simulate_flow(mech: BranchingMechanism, xs, cfg: SimConfig) -> FlowEnsemble:
-    """Coupled trajectories from ascending initial masses x_1 <= ... <= x_k."""
+    """Coupled trajectories from ascending initial masses x_1 <= ... <= x_k:
+    row i is the sum of the layer trajectories simulate_cb(x_j - x_{j-1})
+    for j <= i, layer j on stream 2 + j."""
     xs = [float(v) for v in xs]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise ValueError("initial masses must be ascending")
     if any(v < 0.0 for v in xs):
         raise ValueError("initial masses must be >= 0")
-    rate, draw, comp, var_rate = _effective_terms(mech, cfg)
-    dt = cfg.dt
-    sq = math.sqrt(dt)
-    n = cfg.n_cells
-    k = len(xs)
-    layers = np.array([xs[0]] + [b - a for a, b in zip(xs, xs[1:])])
-    rngs = [path_stream(cfg.seed, CB_STREAM_BASE + 2 + j) for j in range(k)]
-    vals = np.empty((k, n + 1))
-    vals[:, 0] = np.cumsum(layers)
-    Y = layers.copy()
-    for step in range(n):
-        for j in range(k):
-            y = Y[j]
-            if y <= 0.0:
-                # layer stays absorbed; keep the draw sequence aligned anyway
-                rngs[j].standard_normal()
-                if rate > 0.0:
-                    rngs[j].poisson(0.0)
-                Y[j] = 0.0
-                continue
-            g = rngs[j].standard_normal()
-            nxt = y - (mech.alpha + comp) * y * dt + math.sqrt(var_rate * y) * sq * g
-            if rate > 0.0:
-                nj = int(rngs[j].poisson(rate * y * dt))
-                if nj:
-                    nxt += float(draw(rngs[j], nj).sum())
-            Y[j] = max(nxt, 0.0)
-        vals[:, step + 1] = np.cumsum(Y)
-    return FlowEnsemble(dt=dt, initial_masses=tuple(xs), values=vals)
+    layers = [xs[0]] + [b - a for a, b in zip(xs, xs[1:])]
+    vals = np.cumsum([simulate_cb(mech, y, cfg, stream_index=2 + j).values
+                      for j, y in enumerate(layers)], axis=0)
+    return FlowEnsemble(dt=cfg.dt, initial_masses=tuple(xs), values=vals)

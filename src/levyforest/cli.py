@@ -31,7 +31,7 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, PreconditionError
 from .exploration import scan_height
 from .local_time import default_level_width, occupation_local_time
-from .paths import build_nodes, sample_path, write_jumps_csv, write_path_csv
+from .paths import build_nodes, sample_path, write_csv, write_jumps_csv, write_path_csv
 from .verify import SUITES, run_all, run_suite
 
 EXIT_OK = 0
@@ -110,37 +110,31 @@ def _cmd_mechanism_info(run: RunConfig) -> int:
     return EXIT_OK
 
 
+def _csv(out: str, name: str, write, *args) -> None:
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fp:
+        write(fp, *args)
+
+
 def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
     mech, cfg = run.mechanism, run.sim
-    if kind == "levy":
-        path = sample_path(mech, cfg)
-        with open(os.path.join(out, "path.csv"), "w", encoding="utf-8", newline="") as fp:
-            write_path_csv(path, fp)
-        with open(os.path.join(out, "jumps.csv"), "w", encoding="utf-8", newline="") as fp:
-            write_jumps_csv(path, fp)
-        _write_sidecar(out, "path", run)
-        return EXIT_OK
     if kind == "cb":
-        traj = simulate_cb(mech, run.harness["x"], cfg)
-        with open(os.path.join(out, "cb.csv"), "w", encoding="utf-8", newline="") as fp:
-            traj.write_csv(fp)
+        _csv(out, "cb.csv", simulate_cb(mech, run.harness["x"], cfg).write_csv)
         _write_sidecar(out, "cb", run)
         return EXIT_OK
-    # kind == "height"
-    if mech.beta <= 0.0:
-        raise PreconditionError("height simulation requires beta > 0")
     path = sample_path(mech, cfg)
+    if kind == "levy":
+        _csv(out, "path.csv", lambda fp: write_path_csv(path, fp))
+        _csv(out, "jumps.csv", lambda fp: write_jumps_csv(path, fp))
+        _write_sidecar(out, "path", run)
+        return EXIT_OK
+    # kind == "height"; scan_height rejects a path without a diffusion part
     nodes = build_nodes(path)
     sc = scan_height(nodes, path.beta_eff)
-    with open(os.path.join(out, "height.csv"), "w", encoding="utf-8", newline="") as fp:
-        fp.write("time,height\n")
-        for t, h in zip(path.grid_times(), sc.grid_height()):
-            fp.write(f"{t!r},{h!r}\n")
+    _csv(out, "height.csv", write_csv, ["time", "height"], path.grid_times(),
+         sc.grid_height())
     width = default_level_width(cfg.dt, path.beta_eff)
     edges = np.arange(0.0, max(sc.height.max() + 2 * width, 2 * width), width)
-    field = occupation_local_time(nodes.times, sc.height, edges)
-    with open(os.path.join(out, "local_time.csv"), "w", encoding="utf-8", newline="") as fp:
-        field.write_csv(fp)
+    _csv(out, "local_time.csv", occupation_local_time(nodes.times, sc.height, edges).write_csv)
     _write_sidecar(out, "height", run)
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .paths import LevyPath, Nodes, build_nodes
+from .paths import LevyPath, Nodes, build_nodes, grid_step
 
 __all__ = [
     "ExplorationStack",
@@ -324,9 +324,7 @@ def height_trajectory(path: LevyPath, engine: str = "stack") -> np.ndarray:
 def stack_at(path: LevyPath, t: float) -> tuple[ExplorationStack, float]:
     """Exploration stack and running infimum after processing the path up to
     grid time t; useful for snapshot/decomposition checks."""
-    m = int(round(t / path.dt))
-    if abs(m * path.dt - t) > 1e-9 * path.dt or m > path.n_cells:
-        raise ValueError("t must be a grid time within the horizon")
+    m = grid_step(path, t)
     nodes = build_nodes(path)
     stop = int(nodes.grid_index[m])
     stack = ExplorationStack(path.beta_eff)

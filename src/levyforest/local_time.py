@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exploration import HeightScan, scan_height
-from .paths import LevyPath, build_nodes, node_weights, truncate_at_level
+from .paths import (LevyPath, build_nodes, grid_step, node_weights, truncate_at_level,
+                    write_csv)
 
 __all__ = [
     "default_level_width",
@@ -148,13 +149,9 @@ class LocalTimeField:
         return float(self.values[t_index, self.level_index(a)])
 
     def write_csv(self, fp) -> None:
-        import csv
-        w = csv.writer(fp)
-        w.writerow(["time", "level", "local_time"])
-        for i, t in enumerate(self.times):
-            for b, edge in enumerate(self.level_edges[:-1]):
-                w.writerow([repr(float(t)), repr(float(edge)),
-                            repr(float(self.values[i, b]))])
+        n, nb = self.values.shape
+        write_csv(fp, ["time", "level", "local_time"], np.repeat(self.times, nb),
+                  np.tile(self.level_edges[:-1], n), self.values.ravel())
 
 
 def occupation_local_time(times: np.ndarray, heights: np.ndarray,
@@ -314,9 +311,7 @@ def tanaka_local_time_at(path: LevyPath, a: float, t: float | None = None,
     level a over [0, t] (t a grid time; the whole horizon by default)."""
     nodes = build_nodes(path)
     if t is not None:
-        m = int(round(t / path.dt))
-        if abs(m * path.dt - t) > 1e-9 * path.dt or m > path.n_cells:
-            raise ValueError("t must be a grid time within the horizon")
+        m = grid_step(path, t)
         stop = int(nodes.grid_index[m]) + 1
         keep = nodes.jump_post < stop
         nodes = type(nodes)(times=nodes.times[:stop], values=nodes.values[:stop],

@@ -247,9 +247,6 @@ class JumpMeasure:
         return rate, draw
 
 
-ZERO_JUMPS = JumpMeasure()
-
-
 # ---------------------------------------------------------------------------
 # mechanism
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .mechanism import BranchingMechanism
 
 __all__ = [
     "SimConfig",
+    "simulated_law",
     "JumpSet",
     "LevyPath",
     "Nodes",
@@ -43,6 +44,8 @@ __all__ = [
     "truncate_at_level",
     "sim_config_from_config",
     "sim_config_to_config",
+    "grid_step",
+    "write_csv",
     "write_path_csv",
     "write_jumps_csv",
 ]
@@ -82,6 +85,24 @@ class SimConfig:
     @property
     def n_cells(self) -> int:
         return int(round(self.horizon / self.dt))
+
+
+def simulated_law(mech: BranchingMechanism, cfg: SimConfig):
+    """What cfg simulates of mech: (rate, draw, compensator, variance rate).
+
+    Jumps above truncation_delta arrive at rate with sizes from draw(rng, n)
+    and are compensated by compensator = int_delta^inf z pi(dz).  Smaller
+    jumps are dropped, or folded into the diffusion as their variance
+    int_0^delta z^2 pi(dz) under "gaussian_correction" (Asmussen-Rosinski),
+    so variance rate = 2*beta plus that when folded.
+    """
+    delta = cfg.truncation_delta
+    rate, draw = mech.jumps.sampler_above(delta)
+    comp = mech.jumps.mean_above(delta)
+    var_rate = 2.0 * mech.beta
+    if cfg.small_jump_mode == "gaussian_correction":
+        var_rate += mech.jumps.m2_below(delta)
+    return rate, draw, comp, var_rate
 
 
 def sim_config_from_config(obj: dict) -> SimConfig:
@@ -128,6 +149,7 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 _EMPTY = np.empty(0)
+_NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -137,7 +159,7 @@ class JumpSet:
     times: np.ndarray = field(default_factory=lambda: _EMPTY)
     sizes: np.ndarray = field(default_factory=lambda: _EMPTY)
     pre_values: np.ndarray = field(default_factory=lambda: _EMPTY)
-    cells: np.ndarray = field(default_factory=lambda: _EMPTY.astype(np.int64))
+    cells: np.ndarray = field(default_factory=lambda: _NO_CELLS)
     fracs: np.ndarray = field(default_factory=lambda: _EMPTY)
 
     def __len__(self) -> int:
@@ -325,12 +347,8 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     long enough for a coarsened copy of the path (ratio r) to register its
     own first passage.
     """
-    delta = cfg.truncation_delta
-    rate, draw = mech.jumps.sampler_above(delta)
-    drift = -mech.alpha - mech.jumps.mean_above(delta)
-    var_rate = 2.0 * mech.beta
-    if cfg.small_jump_mode == "gaussian_correction":
-        var_rate += mech.jumps.m2_below(delta)
+    rate, draw, comp, var_rate = simulated_law(mech, cfg)
+    drift = -mech.alpha - comp
     coeff = math.sqrt(var_rate)
 
     rng = path_stream(cfg.seed, path_index)
@@ -340,7 +358,7 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     sqrt_dt = math.sqrt(dt)
 
     db_parts: list[np.ndarray] = []
-    jump_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (cells, fracs, sizes)
+    jump_parts: list[tuple[np.ndarray, ...]] = []   # (cells, fracs, sizes)
     inc_parts: list[np.ndarray] = []
     v_carry = 0.0
     done_cells = 0
@@ -348,26 +366,23 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     while done_cells < n_total:
         k = min(chunk, n_total - done_cells)
         db = rng.normal(0.0, sqrt_dt, size=k)
-        inc = drift * dt + coeff * db
+        cells, sizes = _NO_CELLS, _EMPTY
         if rate > 0.0:
             count = int(rng.poisson(rate * k * dt))
             u = np.sort(rng.random(count))
             sizes = draw(rng, count) if count else _EMPTY
             pos = u * k                                 # in units of cells
-            cells_local = np.minimum(pos.astype(np.int64), k - 1)
-            lattice = np.floor((pos - cells_local) * _FRAC_LATTICE)
-            fracs = (lattice + 0.5) / _FRAC_LATTICE
+            cells = np.minimum(pos.astype(np.int64), k - 1)
+            lattice = np.floor((pos - cells) * _FRAC_LATTICE)
             if count:
-                cell_jump = np.zeros(k)
-                np.add.at(cell_jump, cells_local, sizes)
-                inc = inc + cell_jump
-                jump_parts.append((cells_local + done_cells, fracs, sizes))
+                jump_parts.append((cells + done_cells, (lattice + 0.5) / _FRAC_LATTICE, sizes))
         db_parts.append(db)
-        inc_parts.append(inc)
         done_cells += k
         # grid detection is enough to stop generating; the authoritative
         # crossing (pre-jump vertices included) is found by truncate_at_level
         if stop_level is not None:
+            inc = _increments(db, cells, sizes, drift, coeff, dt)
+            inc_parts.append(inc)
             vals = v_carry + np.cumsum(inc)
             v_carry = float(vals[-1])
             r = stop_grid_ratio
@@ -379,41 +394,50 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
             if hit:
                 break
 
-    brownian = np.concatenate(db_parts) if db_parts else _EMPTY
-    # canonical single-pass construction: identical result whether the path
-    # was produced chunked, stopped early, or rebuilt from reversed pieces
-    values = np.empty(done_cells + 1)
+    jumps = [np.concatenate(col) for col in zip(*jump_parts)] or [_NO_CELLS, _EMPTY, _EMPTY]
+    return _assemble(np.concatenate(db_parts), *jumps, drift, coeff, dt, cfg.seed, path_index,
+                     inc=np.concatenate(inc_parts) if inc_parts else None)
+
+
+def _increments(db, cells, sizes, drift, coeff, dt) -> np.ndarray:
+    """Per-cell increments: drift, Gaussian part and the cell's jump mass."""
+    inc = drift * dt + coeff * db
+    if len(cells):
+        cell_jump = np.zeros(len(db))
+        np.add.at(cell_jump, cells, sizes)
+        inc += cell_jump
+    return inc
+
+
+def _assemble(db, cells, fracs, sizes, drift, coeff, dt, seed, path_index, *,
+              inc=None) -> LevyPath:
+    """The path driven by the Brownian cell increments db and the jumps sizes
+    at times (cells + fracs) * dt.
+
+    values is one cumsum of the increments (inc, when the caller already
+    has them), so a path comes out bit-identical whether it was drawn in
+    chunks, stopped early, coarsened or rebuilt from reversed pieces.
+    """
+    if inc is None:
+        inc = _increments(db, cells, sizes, drift, coeff, dt)
+    values = np.empty(len(db) + 1)
     values[0] = 0.0
-    np.cumsum(np.concatenate(inc_parts), out=values[1:])
-    jumps = _assemble_jumps(jump_parts, values, brownian, drift, coeff, dt)
-    return LevyPath(dt=dt, values=values, brownian_increments=brownian,
-                    jumps=jumps, applied_drift=drift, gaussian_coeff=coeff,
-                    seed=cfg.seed, path_index=path_index)
-
-
-def _assemble_jumps(jump_parts, values, brownian, drift, coeff, dt) -> JumpSet:
-    if not jump_parts:
-        return JumpSet()
-    cells = np.concatenate([p[0] for p in jump_parts])
-    fracs = np.concatenate([p[1] for p in jump_parts])
-    sizes = np.concatenate([p[2] for p in jump_parts])
-    keep = cells < len(brownian)
-    cells, fracs, sizes = cells[keep], fracs[keep], sizes[keep]
-    if not len(cells):
-        return JumpSet()
-    order = np.lexsort((fracs, cells))
-    cells, fracs, sizes = cells[order], fracs[order], sizes[order]
-    cont = drift * dt + coeff * brownian
-    # exclusive within-cell cumulative jump mass
-    cum = np.cumsum(sizes) - sizes
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = cells[1:] != cells[:-1]
-    cell_base = np.repeat(cum[first], np.diff(np.append(np.flatnonzero(first), len(cells))))
-    within = cum - cell_base
-    pre = values[cells] + fracs * cont[cells] + within
-    times = (cells + fracs) * dt
-    return JumpSet(times=times, sizes=sizes, pre_values=pre,
-                   cells=cells, fracs=fracs)
+    np.cumsum(inc, out=values[1:])
+    jumps = JumpSet()
+    if len(cells):
+        order = np.lexsort((fracs, cells))
+        cells, fracs, sizes = cells[order], fracs[order], sizes[order]
+        # exclusive within-cell cumulative jump mass
+        cum = np.cumsum(sizes) - sizes
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = cells[1:] != cells[:-1]
+        cell_base = np.repeat(cum[first], np.diff(np.append(np.flatnonzero(first), len(cells))))
+        pre = values[cells] + fracs * (drift * dt + coeff * db[cells]) + (cum - cell_base)
+        jumps = JumpSet(times=(cells + fracs) * dt, sizes=sizes, pre_values=pre,
+                        cells=cells, fracs=fracs)
+    return LevyPath(dt=dt, values=values, brownian_increments=db, jumps=jumps,
+                    applied_drift=drift, gaussian_coeff=coeff,
+                    seed=seed, path_index=path_index)
 
 
 def coarsen_path(path: LevyPath, ratio: int) -> LevyPath:
@@ -426,26 +450,13 @@ def coarsen_path(path: LevyPath, ratio: int) -> LevyPath:
     """
     if ratio == 1:
         return path
-    n = path.n_cells
-    if ratio < 1 or n % ratio:
+    if ratio < 1 or path.n_cells % ratio:
         raise ValueError("ratio must divide the number of cells")
-    db = path.brownian_increments.reshape(-1, ratio).sum(axis=1)
-    dt = path.dt * ratio
     j = path.jumps
-    cells = j.cells // ratio if len(j) else j.cells
-    fracs = ((j.cells % ratio) + j.fracs) / ratio if len(j) else j.fracs
-    sizes = j.sizes
-    cont = path.applied_drift * dt + path.gaussian_coeff * db
-    cell_jump = np.zeros(n // ratio)
-    if len(j):
-        np.add.at(cell_jump, cells, sizes)
-    values = np.concatenate(([0.0], np.cumsum(cont + cell_jump)))
-    jumps = _assemble_jumps([(cells, fracs, sizes.copy())] if len(j) else [],
-                            values, db, path.applied_drift, path.gaussian_coeff, dt)
-    return LevyPath(dt=dt, values=values, brownian_increments=db, jumps=jumps,
-                    applied_drift=path.applied_drift,
-                    gaussian_coeff=path.gaussian_coeff,
-                    seed=path.seed, path_index=path.path_index)
+    return _assemble(path.brownian_increments.reshape(-1, ratio).sum(axis=1),
+                     j.cells // ratio, ((j.cells % ratio) + j.fracs) / ratio, j.sizes,
+                     path.applied_drift, path.gaussian_coeff, path.dt * ratio,
+                     path.seed, path.path_index)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +481,10 @@ def running_infimum(path: LevyPath, s: float, t: float) -> float:
         raise ValueError("running_infimum requires s <= t")
     nodes = build_nodes(path)
     eps = 1e-9 * path.dt
-    mask = (nodes.times >= s - eps) & (nodes.times <= t + eps)
-    return float(nodes.values[mask].min())
+    window = nodes.values[(nodes.times >= s - eps) & (nodes.times <= t + eps)]
+    if not len(window):
+        raise ValueError(f"running_infimum: no vertex of the path in [s, t] = [{s}, {t}]")
+    return float(window.min())
 
 
 def hitting_time(path: LevyPath, x: float) -> float | None:
@@ -481,6 +494,15 @@ def hitting_time(path: LevyPath, x: float) -> float | None:
     return None if cut is None else cut[1]
 
 
+def grid_step(path: LevyPath, t: float) -> int:
+    """The step k of the grid time t = k * dt in [0, horizon]; ValueError for
+    any other t."""
+    k = int(round(t / path.dt))
+    if abs(k * path.dt - t) > 1e-9 * path.dt or not 0 <= k <= path.n_cells:
+        raise ValueError(f"t = {t} is not a grid time in [0, {path.horizon}]")
+    return k
+
+
 def time_reverse(path: LevyPath, t: float | None = None) -> LevyPath:
     """The reversed path s -> xi_t - xi_{(t-s)-} on [0, t] (t a grid time).
 
@@ -488,48 +510,33 @@ def time_reverse(path: LevyPath, t: float | None = None) -> LevyPath:
     positions on a dyadic lattice), so reversing twice reproduces the
     original path bit for bit.
     """
-    if t is None:
-        t = path.horizon
-    m = int(round(t / path.dt))
-    if abs(m * path.dt - t) > 1e-9 * path.dt or m < 1:
+    m = grid_step(path, path.horizon if t is None else t)
+    if m < 1:
         raise ValueError("t must be a positive grid time")
-    if m > path.n_cells:
-        raise ValueError("t beyond horizon")
-
-    db = path.brownian_increments[:m][::-1].copy()
     j = path.jumps
     keep = j.cells < m
-    cells = (m - 1) - j.cells[keep][::-1]
-    fracs = 1.0 - j.fracs[keep][::-1]
-    sizes = j.sizes[keep][::-1].copy()
-
-    cont = path.applied_drift * path.dt + path.gaussian_coeff * db
-    cell_jump = np.zeros(m)
-    if len(cells):
-        np.add.at(cell_jump, cells, sizes)
-    values = np.concatenate(([0.0], np.cumsum(cont + cell_jump)))
-    jumps = _assemble_jumps([(cells, fracs, sizes)], values, db,
-                            path.applied_drift, path.gaussian_coeff, path.dt)
-    return LevyPath(dt=path.dt, values=values, brownian_increments=db,
-                    jumps=jumps, applied_drift=path.applied_drift,
-                    gaussian_coeff=path.gaussian_coeff,
-                    seed=path.seed, path_index=path.path_index)
+    return _assemble(path.brownian_increments[:m][::-1].copy(),
+                     (m - 1) - j.cells[keep][::-1], 1.0 - j.fracs[keep][::-1],
+                     j.sizes[keep][::-1], path.applied_drift, path.gaussian_coeff,
+                     path.dt, path.seed, path.path_index)
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_path_csv(path: LevyPath, fp) -> None:
+def write_csv(fp, header: list[str], *columns) -> None:
+    """header, then one row per entry of the equal-length columns, every
+    value written as repr(float(value)) (csv's default CRLF line ends)."""
     w = csv.writer(fp)
-    w.writerow(["time", "value"])
-    for t, v in zip(path.grid_times(), path.values):
-        w.writerow([repr(float(t)), repr(float(v))])
+    w.writerow(header)
+    w.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+
+
+def write_path_csv(path: LevyPath, fp) -> None:
+    write_csv(fp, ["time", "value"], path.grid_times(), path.values)
 
 
 def write_jumps_csv(path: LevyPath, fp) -> None:
-    w = csv.writer(fp)
-    w.writerow(["time", "size", "pre_value"])
     j = path.jumps
-    for t, z, pv in zip(j.times, j.sizes, j.pre_values):
-        w.writerow([repr(float(t)), repr(float(z)), repr(float(pv))])
+    write_csv(fp, ["time", "size", "pre_value"], j.times, j.sizes, j.pre_values)

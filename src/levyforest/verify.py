@@ -66,6 +66,7 @@ from .paths import (
     node_weights,
     sample_path,
     sim_config_to_config,
+    simulated_law,
     truncate_at_level,
 )
 
@@ -243,11 +244,6 @@ def _monotone_cells(name: str, dts: list[float], dev: list[float]) -> list[Check
             for j in range(len(dev) - 1)]
 
 
-def _sub_config(cfg: SimConfig, dt: float, horizon: float) -> SimConfig:
-    """cfg on another grid: same truncation, small-jump mode and seed."""
-    return replace(cfg, dt=dt, horizon=horizon)
-
-
 # ---------------------------------------------------------------------------
 # the per-path stage
 # ---------------------------------------------------------------------------
@@ -386,11 +382,12 @@ def _exponent_row(spec, i: int) -> tuple:
 def _exponent_cells(mech: BranchingMechanism, oracle: BranchingMechanism,
                     cfg: SimConfig, spec: dict, pool: PathPool) -> list[CheckCell]:
     m, t, dt = spec["paths"], spec["t"], spec["dt"]
-    key = (mech, _sub_config(cfg, dt, t + dt), int(round(t / dt)), m)
+    key = (mech, replace(cfg, dt=dt, horizon=t + dt), int(round(t / dt)), m)
     if key not in pool.exponent_values:             # once per pool, not per suite
         pool.exponent_values[key], = pool.map(_exponent_row, key[:3], m)
     vals = pool.exponent_values[key]
-    corr = cfg.small_jump_mode == "gaussian_correction"
+    # the oracle adds the small-jump variance when the simulated law carries it
+    corr = simulated_law(mech, cfg)[3] > 2.0 * mech.beta
     cells = []
     for lam in spec["lambdas"]:
         target = math.exp(t * oracle.truncated_exponent(lam, cfg.truncation_delta, corr))
@@ -564,7 +561,7 @@ def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
     for dt in dts:
         div = max(int(math.ceil(base / dt ** (1.0 / 3.0))), div + 1)
         widths.append(base / div)
-    return dts, ratios, widths, _sub_config(cfg, fine_dt, horizon)
+    return dts, ratios, widths, replace(cfg, dt=fine_dt, horizon=horizon)
 
 
 def _residual_and_profile(path: LevyPath, x: float, levels, width: float):
@@ -726,7 +723,7 @@ def white_noise_report(mech, cfg, harness, oracle, *, pool):
     a_lvl, u_max, width = block["a"], block["u_max"], block["level_width"]
     m_paths = block["paths"]
     f = block["f"] or indicator_box(a_lvl, u_max)
-    sub = _sub_config(cfg, block["dt"], block["horizon"])
+    sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
     n_bins = max(1, int(round(a_lvl / width)))
 
     w_hat, covered = pool.map(_noise_row,
@@ -804,7 +801,7 @@ def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
     x, m_paths, width = block["x"], block["paths"], block["level_width"]
     boxes = [MarkBox(tuple(b["a"]), tuple(b["z"]), tuple(b["u"]))
              for b in harness["boxes"] or DEFAULT_HARNESS["boxes"]]
-    sub = _sub_config(cfg, block["dt"], block["horizon"])
+    sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
 
     prof_level = max(b.a[1] for b in boxes)
     # profile bins each box's coverage reads, and the bin of prof_level
@@ -879,8 +876,7 @@ def reflected_supremum_report(mech, cfg, harness, oracle, *, pool):
     block = harness["reflected"]
     t_end, m_paths, band_mult = block["t"], block["paths"], block["band_mult"]
     dts = sorted(harness["dts"], reverse=True)
-    beta = mech.beta + (0.5 * mech.jumps.m2_below(cfg.truncation_delta)
-                        if cfg.small_jump_mode == "gaussian_correction" else 0.0)
+    beta = 0.5 * simulated_law(mech, cfg)[3]
     has_jumps = not mech.jumps.is_zero
 
     report = MonteCarloReport(
@@ -890,7 +886,7 @@ def reflected_supremum_report(mech, cfg, harness, oracle, *, pool):
     for dt in dts:
         h_band = band_mult * math.sqrt(2.0 * beta * dt)
         lhs, rhs = pool.map(_reflected_row,
-                            (mech, _sub_config(cfg, dt, t_end), beta, h_band), m_paths)
+                            (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band), m_paths)
         rel = abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())
         devs.append(rel)
         # the spreads are combined before dividing by sqrt(m); _se of each side
@@ -924,7 +920,7 @@ def _brownian_example(mech, cfg, harness, oracle, *, pool):
     block = harness["example"]
     m_paths, dt, t_end = block["paths"], block["dt"], block["t"]
 
-    hs, = pool.map(_example_row, (mech, _sub_config(cfg, dt, t_end)), m_paths)
+    hs, = pool.map(_example_row, (mech, replace(cfg, dt=dt, horizon=t_end)), m_paths)
     hs_sorted = np.sort(hs)
     scale = 2.0 * math.sqrt(2.0 * t_end)
     cdf = np.array([math.erf(h / scale) for h in hs_sorted])

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -109,6 +110,57 @@ def test_simulate_height_and_cb_outputs(tmp_path):
     assert (out / "local_time.csv").exists()
     assert run_cli("simulate", "cb", "--config", cfg, "--out", str(out)).returncode == 0
     assert (out / "cb.csv").read_text().splitlines()[0] == "time,value"
+
+
+def test_simulate_height_with_only_the_corrected_diffusion(tmp_path):
+    # beta = 0, but the Gaussian small-jump correction gives the simulated
+    # law a diffusion part, so the height process exists
+    cfg = write_cfg(tmp_path, "c.json", {
+        "mechanism": {"alpha": 0.5, "beta": 0.0, "jumps": {"power_law": {
+            "c": 1.0, "sigma": 1.5, "z_min": 0.0, "z_max": 1.0}}},
+        "sim": {"dt": 0.01, "horizon": 1.0, "truncation_delta": 0.05,
+                "small_jump_mode": "gaussian_correction"}})
+    r = run_cli("simulate", "height", "--config", cfg, "--out", str(tmp_path / "h"))
+    assert r.returncode == 0, r.stderr
+
+
+def test_every_simulated_csv_parses(tmp_path):
+    from levyforest.cli import main
+    from levyforest.config import load_run_config
+    from levyforest.exploration import height_trajectory
+    from levyforest.paths import sample_path
+
+    cfg = write_cfg(tmp_path, "c.json", {
+        "mechanism": {"alpha": 0.5, "beta": 1.0,
+                      "jumps": {"atoms": [{"z": 0.5, "w": 2.0}]}},
+        "sim": {"dt": 1e-2, "horizon": 2.0, "seed": 4}})
+    out = tmp_path / "o"
+    for kind in ("levy", "cb", "height"):
+        assert main(["simulate", kind, "--config", cfg, "--out", str(out)]) == 0
+    tables = {}
+    for name in ("path", "jumps", "cb", "height", "local_time"):
+        raw = (out / f"{name}.csv").read_bytes()
+        assert raw.count(b"\n") == raw.count(b"\r\n"), name
+        with open(out / f"{name}.csv", newline="", encoding="utf-8") as fp:
+            rows = list(csv.reader(fp))
+        tables[name] = [[float(v) for v in row] for row in rows[1:]]
+        assert tables[name], name
+    run = load_run_config(cfg)
+    expected = height_trajectory(sample_path(run.mechanism, run.sim))
+    assert [h for _, h in tables["height"]] == expected.tolist()
+
+
+def test_simulate_without_out_writes_to_the_harness_out_dir(tmp_path, monkeypatch):
+    from levyforest.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    sim = {"dt": 1e-2, "horizon": 1.0, "seed": 2}
+    cfg = write_cfg(tmp_path, "c.json", {"sim": sim})
+    assert main(["simulate", "levy", "--config", cfg, "--jobs", "1"]) == 0
+    assert (tmp_path / "out" / "path.csv").is_file()
+    cfg = write_cfg(tmp_path, "d.json", {"sim": sim, "harness": {"out_dir": "elsewhere"}})
+    assert main(["simulate", "levy", "--config", cfg, "--jobs", "1"]) == 0
+    assert (tmp_path / "elsewhere" / "path.csv").is_file()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -305,22 +305,13 @@ def test_snapshot_decomposition():
 
 def _suffix_path(p: LevyPath, t_cut: float) -> LevyPath:
     """The path increments after t_cut as a standalone path from 0."""
+    from levyforest.paths import _assemble
+
     k = int(round(t_cut / p.dt))
-    db = p.brownian_increments[k:]
     keep = p.jumps.cells >= k
-    cells = p.jumps.cells[keep] - k
-    fracs = p.jumps.fracs[keep]
-    sizes = p.jumps.sizes[keep]
-    cont = p.applied_drift * p.dt + p.gaussian_coeff * db
-    cell_jump = np.zeros(len(db))
-    if len(cells):
-        np.add.at(cell_jump, cells, sizes)
-    values = np.concatenate(([0.0], np.cumsum(cont + cell_jump)))
-    from levyforest.paths import _assemble_jumps
-    jumps = _assemble_jumps([(cells, fracs, sizes)] if len(cells) else [],
-                            values, db, p.applied_drift, p.gaussian_coeff, p.dt)
-    return LevyPath(dt=p.dt, values=values, brownian_increments=db, jumps=jumps,
-                    applied_drift=p.applied_drift, gaussian_coeff=p.gaussian_coeff)
+    return _assemble(p.brownian_increments[k:], p.jumps.cells[keep] - k,
+                     p.jumps.fracs[keep], p.jumps.sizes[keep], p.applied_drift,
+                     p.gaussian_coeff, p.dt, 0, 0)
 
 
 def test_surviving_atoms_match_erosion_formula():

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PowerLawTail
+from levyforest.exploration import stack_at
+from levyforest.local_time import tanaka_local_time_at
 from levyforest.paths import (
     JumpSet,
     LevyPath,
     SimConfig,
     build_nodes,
     coarsen_path,
+    grid_step,
     hitting_time,
     reflected_process,
     running_infimum,
@@ -168,6 +171,23 @@ def test_running_infimum_sees_pre_jump_values():
     assert running_infimum(rng_path, s, t) == brute
     with pytest.raises(ValueError):
         running_infimum(rng_path, 2.0, 1.0)
+
+
+def test_running_infimum_names_an_empty_window():
+    p = make_path([0.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match=r"\[s, t\] = \[5.0, 6.0\]"):
+        running_infimum(p, 5.0, 6.0)
+
+
+@pytest.mark.parametrize("t", [-0.5, 0.30005, 2.5], ids=["negative", "off-grid", "past-horizon"])
+@pytest.mark.parametrize("call", [time_reverse, stack_at,
+                                  lambda p, t: tanaka_local_time_at(p, 0.3, t=t)],
+                         ids=["time_reverse", "stack_at", "tanaka_local_time_at"])
+def test_times_off_the_grid_are_rejected(call, t):
+    p = sample_path(JUMPY, SimConfig(dt=1e-2, horizon=2.0, seed=3), path_index=1)
+    assert (grid_step(p, 0.0), grid_step(p, 0.3), grid_step(p, 2.0)) == (0, 30, 200)
+    with pytest.raises(ValueError, match="not a grid time"):
+        call(p, t)
 
 
 def test_time_reverse_is_bit_exact_involution():
