@@ -2,38 +2,39 @@
 
 The exploration measure at time t consists of a Lebesgue part of density
 beta on [0, H_t] plus one atom per not-yet-eroded jump, sitting at the height
-the process had when the jump occurred.  Maintaining it as a stack of
-continuous segments and atoms gives the height trajectory in one forward
-pass: positive continuous increments extend the top segment, negative ones
-erode mass from the top (atoms first, partially if needed), and jumps push
-atoms.  Whatever erosion is left when the stack empties lowers the running
-infimum of the path instead.
+the process had when the jump occurred.  ExplorationStack keeps it as
+records in path-value coordinates: positive continuous increments raise the
+top, jumps push atoms, and lowering the top pops every record it passes (and
+cuts the one it stops in).  Whatever erosion is left when the stack empties
+lowers the running infimum of the path instead.
 
 Two engines compute the same trajectory:
 
-* scan_height   -- the production engine: one forward sweep of the stack
-                   above, where only jump boundaries touch the records and
-                   each jump-free stretch is a vectorized running minimum
-                   plus an interpolation, O(#nodes + #jumps) array work;
+* scan_height   -- the production engine: one forward sweep that fills an
+                   ExplorationStack, where only jump boundaries touch the
+                   records and each jump-free stretch is a vectorized running
+                   minimum plus an interpolation, O(#nodes + #jumps) array work;
 * direct_height -- direct evaluation of the pathwise identity
                    beta*H_t = xi_t - inf_{[0,t]} xi
                               - sum_{jumps t_i <= t} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
                    with vectorized running minima, O(#jumps * #nodes).
 
 They agree to floating-point accuracy; the direct formula is kept as the
-independent oracle for the sweep (height_trajectory engine "scan").  The
-per-event ExplorationStack serves snapshots (stack_at) and the unit checks.
+independent oracle for the sweep (height_trajectory engine "scan").  A
+snapshot of the stack at a grid time (stack_at) is the state the sweep ends
+in on that prefix of the path.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .paths import LevyPath, Nodes, build_nodes, grid_step
+from .paths import LevyPath, Nodes, build_nodes, grid_step, node_prefix
 
 __all__ = [
     "ExplorationStack",
@@ -44,63 +45,74 @@ __all__ = [
     "height_trajectory",
 ]
 
-_MASS_SLACK = 1e-12     # exhaustion slack: avoids spurious negative masses
-
-_SEGMENT = 0
-_ATOM = 1
-
 
 class ExplorationStack:
-    """Measure-valued state: continuous segments (height extent) and atoms.
+    """Measure-valued state: segments of the Lebesgue part and jump atoms.
 
-    Records run bottom to top.  A segment of extent e carries mass beta*e and
-    height extent e; an atom carries its own mass and zero height extent.
+    Records run bottom to top in path-value coordinates.  lows[r] is the
+    lower path level of record r and bases[r] the height there; jumps[r] is
+    -1 for a segment and, for an atom, the index of its jump in the node
+    sequence scan_height swept (0 from push_jump).  A record reaches up to
+    the next record's lower level, the top one up to top, the current path
+    value, and its mass is the difference of the two levels.  Height is
+    constant across an atom and grows by 1/beta per unit of level across a
+    segment.  floor is the running infimum of the path: the bottom record's
+    lower level, or the level the top sits at once the stack is empty, so
+    total_mass = top - floor.  Lowering the top to a level pops every record
+    whose lower level is at or above it; lows increase strictly bottom to
+    top, so that is one bisection.
     """
 
-    __slots__ = ("beta", "_kinds", "_a", "_b", "_height", "_mass")
+    __slots__ = ("beta", "lows", "bases", "jumps", "top", "floor")
 
     def __init__(self, beta: float):
         if beta <= 0.0:
             raise PreconditionError("exploration requires beta > 0")
         self.beta = beta
-        self._kinds: list[int] = []
-        self._a: list[float] = []        # segment extent, or atom mass
-        self._b: list[float] = []        # unused for segments, atom height
-        self._height = 0.0
-        self._mass = 0.0
+        self.lows: list[float] = []
+        self.bases: list[float] = []
+        self.jumps: list[int] = []
+        self.top = 0.0
+        self.floor = 0.0
 
     # -- observers ------------------------------------------------------------
 
     @property
     def height(self) -> float:
-        return self._height
+        if not self.jumps:
+            return 0.0
+        if self.jumps[-1] >= 0:
+            return self.bases[-1]
+        return self.bases[-1] + (self.top - self.lows[-1]) / self.beta
 
     @property
     def total_mass(self) -> float:
-        return self._mass
+        return self.top - self.floor
 
     def copy(self) -> "ExplorationStack":
         out = ExplorationStack(self.beta)
-        out._kinds = self._kinds.copy()
-        out._a = self._a.copy()
-        out._b = self._b.copy()
-        out._height = self._height
-        out._mass = self._mass
+        out.lows = self.lows.copy()
+        out.bases = self.bases.copy()
+        out.jumps = self.jumps.copy()
+        out.top = self.top
+        out.floor = self.floor
         return out
 
     def records(self) -> list[dict]:
         """Bottom-to-top debug view."""
         out = []
-        for kind, a, b in zip(self._kinds, self._a, self._b):
-            if kind == _SEGMENT:
-                out.append({"kind": "segment", "extent": a, "mass": self.beta * a})
+        ups = self.lows[1:] + [self.top]
+        for low, up, base, j in zip(self.lows, ups, self.bases, self.jumps):
+            if j < 0:
+                out.append({"kind": "segment", "extent": (up - low) / self.beta,
+                            "mass": up - low})
             else:
-                out.append({"kind": "atom", "mass": a, "height": b})
+                out.append({"kind": "atom", "mass": up - low, "height": base})
         return out
 
     def to_json(self) -> str:
-        return json.dumps({"beta": self.beta, "height": self._height,
-                           "total_mass": self._mass, "records": self.records()})
+        return json.dumps({"beta": self.beta, "height": self.height,
+                           "total_mass": self.total_mass, "records": self.records()})
 
     # -- mutators ---------------------------------------------------------
 
@@ -108,83 +120,58 @@ class ExplorationStack:
         """Add an atom of mass z at the current height; H is unchanged."""
         if z <= 0.0:
             raise ValueError("jump size must be > 0")
-        self._kinds.append(_ATOM)
-        self._a.append(z)
-        self._b.append(self._height)
-        self._mass += z
+        self.bases.append(self.height)
+        self.lows.append(self.top)
+        self.jumps.append(0)
+        self.top += z
 
     def advance_continuous(self, d_xi: float) -> float:
         """Apply one continuous increment of the path.
 
-        Positive increments grow the top segment by d_xi/beta in height
-        (d_xi in mass).  Negative increments erode |d_xi| of mass from the
-        top.  Returns the erosion left over after the stack empties, which
-        the caller accounts against the running infimum.
+        Positive increments raise the top segment (opened at the top if an
+        atom or nothing is there).  Negative increments lower the top by
+        |d_xi|.  Returns the erosion left over after the stack empties: how
+        far the new top lies below the old floor, which becomes the running
+        infimum.
         """
         if d_xi > 0.0:
-            extent = d_xi / self.beta
-            if self._kinds and self._kinds[-1] == _SEGMENT:
-                self._a[-1] += extent
-            else:
-                self._kinds.append(_SEGMENT)
-                self._a.append(extent)
-                self._b.append(0.0)
-            self._height += extent
-            self._mass += d_xi
+            if not self.jumps or self.jumps[-1] >= 0:
+                self.bases.append(self.height)
+                self.lows.append(self.top)
+                self.jumps.append(-1)
+            self.top += d_xi
             return 0.0
-        return self._erode(-d_xi)
+        return self._lower_to(self.top + d_xi)
 
     def truncate_mass(self, a: float) -> None:
         """Erode mass a from the top of the support, clamped at empty."""
         if a < 0.0:
             raise ValueError("truncation mass must be >= 0")
-        if a > 0.0:
-            self._erode(a)
+        self._lower_to(max(self.top - a, self.floor))
 
-    def _erode(self, m: float) -> float:
-        while m > 0.0 and self._kinds:
-            if self._kinds[-1] == _ATOM:
-                take = min(self._a[-1], m)
-                self._a[-1] -= take
-                self._mass -= take
-                m -= take
-                if self._a[-1] <= _MASS_SLACK * (1.0 + take):
-                    self._mass -= self._a[-1]
-                    self._mass = max(self._mass, 0.0)
-                    self._kinds.pop(); self._a.pop(); self._b.pop()
-            else:
-                seg_mass = self.beta * self._a[-1]
-                take = min(seg_mass, m)
-                extent = take / self.beta
-                self._a[-1] -= extent
-                self._height -= extent
-                self._mass -= take
-                m -= take
-                if self._a[-1] <= _MASS_SLACK * (1.0 + extent):
-                    self._height -= self._a[-1]
-                    self._height = max(self._height, 0.0)
-                    self._kinds.pop(); self._a.pop(); self._b.pop()
-        if not self._kinds:
-            self._height = 0.0
-            self._mass = 0.0
-        return max(m, 0.0)
+    def _lower_to(self, level: float) -> float:
+        """Pop every record whose lower level is at or above level and move
+        the top there; returns how far level lies below the floor."""
+        k = bisect_left(self.lows, level)
+        del self.lows[k:], self.bases[k:], self.jumps[k:]
+        self.top = level
+        left = max(self.floor - level, 0.0)
+        self.floor = min(self.floor, level)
+        return left
 
 
 def concatenate(lower: ExplorationStack, upper: ExplorationStack) -> ExplorationStack:
-    """Stack upper's records above lower's; atom heights shift by H(lower)."""
+    """Stack upper's records above lower's: levels shift so that upper's floor
+    sits at lower's top, and heights shift by H(lower)."""
     if lower.beta != upper.beta:
         raise ValueError("concatenation requires equal beta")
     out = lower.copy()
-    shift = lower.height
-    for kind, a, b in zip(upper._kinds, upper._a, upper._b):
-        out._kinds.append(kind)
-        out._a.append(a)
-        out._b.append(b + shift if kind == _ATOM else 0.0)
-        if kind == _ATOM:
-            out._mass += a
-        else:
-            out._mass += out.beta * a
-            out._height += a
+    shift = lower.top - upper.floor
+    lift = lower.height
+    out.lows += [low + shift for low in upper.lows]
+    out.bases += [base + lift for base in upper.bases]
+    out.jumps += upper.jumps
+    out.top = lower.top + upper.total_mass
     return out
 
 
@@ -198,7 +185,8 @@ class HeightScan:
 
     height[i] is H at node i; infimum[i] the running path infimum;
     final_erosion[j] = (z_j + inf_{[t_j, end]} xi - xi_{t_j})^+ for jump j,
-    i.e. the surviving atom mass at the end of the sequence.
+    i.e. the surviving atom mass at the end of the sequence; stack is the
+    exploration stack at the last node (scan_height only).
     """
 
     nodes: Nodes
@@ -206,6 +194,7 @@ class HeightScan:
     height: np.ndarray
     infimum: np.ndarray
     final_erosion: np.ndarray
+    stack: ExplorationStack | None = None
 
     def grid_height(self) -> np.ndarray:
         return self.height[self.nodes.grid_index]
@@ -228,41 +217,35 @@ def scan_height(nodes: Nodes, beta: float) -> HeightScan:
     inf0 = np.minimum.accumulate(vals)
     height = np.maximum(vals - inf0, 0.0) / beta
     final = np.zeros(len(nodes.jump_post))
-    if len(final):
-        _sweep_jumps(vals, inf0, nodes.jump_post, beta, height, final)
+    stack = _sweep_jumps(vals, inf0, nodes.jump_post, beta, height, final)
     return HeightScan(nodes=nodes, beta=beta, height=height,
-                      infimum=inf0, final_erosion=final)
+                      infimum=inf0, final_erosion=final, stack=stack)
 
 
-def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> None:
-    """Overwrite height from the first jump on and fill final (scan_height).
+def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack:
+    """Overwrite height from the first jump on, fill final and return the
+    stack at the last node (scan_height).
 
-    Records are the stack's, bottom to top, in path-value coordinates: lows
-    holds a record's lower level, bases the height there, jumps the index
-    of an atom's jump (-1 for a segment).  A record's upper level is the
-    next record's lower one, the top record's the current path value, and
-    the bottom level is the running infimum, so erosion is an exact
-    comparison of path values and H is exactly 0 at the running infimum.
+    The sweep works on the stack's record lists directly.  Before the first
+    jump the stack is one segment up from the running infimum.  Erosion is
+    an exact comparison of path values, so H is exactly 0 at the running
+    infimum.
     """
+    stack = ExplorationStack(beta)
+    lows, bases, jumps = stack.lows, stack.bases, stack.jumps
     posts = jump_post.tolist()
-    ends = posts[1:] + [len(vals)]
     pre = vals[jump_post - 1].tolist()
-    p0 = posts[0]
-    lows: list[float] = []
-    bases: list[float] = []
-    jumps: list[int] = []
+    p0 = posts[0] if posts else len(vals)
     floor = float(inf0[p0 - 1])
-    if pre[0] > floor:
+    if vals[p0 - 1] > floor:
         lows.append(floor); bases.append(0.0); jumps.append(-1)
     h_pre = float(height[p0 - 1])
-    for j, (s, e) in enumerate(zip(posts, ends)):
+    for j, (s, e) in enumerate(zip(posts, posts[1:] + [len(vals)])):
         lows.append(pre[j]); bases.append(h_pre); jumps.append(j)
         seg = vals[s:e]
         run_min = np.minimum.accumulate(seg)
         low = float(run_min[-1])
-        k = len(lows)                   # records k.. are eroded away
-        while k and lows[k - 1] >= low:
-            k -= 1
+        k = bisect_left(lows, low)      # records k.. are eroded away
         r0 = max(k - 1, 0)              # plus the one cut at level low
         eroded = np.interp(run_min, lows[r0:] + [float(seg[0])], bases[r0:] + [h_pre])
         del lows[k:], bases[k:], jumps[k:]
@@ -272,10 +255,11 @@ def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> None:
         if v_end > low:
             lows.append(low); bases.append(h_low); jumps.append(-1)
         h_pre = h_low + (v_end - low) / beta
-    ups = lows[1:] + [float(vals[-1])]
-    for lo_r, up_r, j in zip(lows, ups, jumps):
+    stack.top, stack.floor = float(vals[-1]), float(inf0[-1])
+    for low_r, up_r, j in zip(lows, lows[1:] + [stack.top], jumps):
         if j >= 0:
-            final[j] = up_r - lo_r
+            final[j] = up_r - low_r
+    return stack
 
 
 def direct_height(nodes: Nodes, beta: float) -> HeightScan:
@@ -322,18 +306,9 @@ def height_trajectory(path: LevyPath, engine: str = "stack") -> np.ndarray:
 
 
 def stack_at(path: LevyPath, t: float) -> tuple[ExplorationStack, float]:
-    """Exploration stack and running infimum after processing the path up to
-    grid time t; useful for snapshot/decomposition checks."""
+    """Exploration stack and running infimum after the path up to grid time
+    t: the state scan_height's sweep ends in on that prefix of the nodes."""
     m = grid_step(path, t)
     nodes = build_nodes(path)
-    stop = int(nodes.grid_index[m])
-    stack = ExplorationStack(path.beta_eff)
-    is_jump = nodes.piece_is_jump()
-    vals = nodes.values
-    inf0 = 0.0
-    for i in range(1, stop + 1):
-        if is_jump[i - 1]:
-            stack.push_jump(vals[i] - vals[i - 1])
-        else:
-            inf0 -= stack.advance_continuous(float(vals[i] - vals[i - 1]))
-    return stack, inf0
+    scan = scan_height(node_prefix(nodes, int(nodes.grid_index[m]) + 1), path.beta_eff)
+    return scan.stack, float(scan.infimum[-1])

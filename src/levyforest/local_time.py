@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exploration import HeightScan, scan_height
-from .paths import (LevyPath, build_nodes, grid_step, node_weights, truncate_at_level,
-                    write_csv)
+from .paths import (LevyPath, build_nodes, grid_step, node_prefix, node_weights,
+                    truncate_at_level, write_csv)
 
 __all__ = [
     "default_level_width",
@@ -311,14 +311,7 @@ def tanaka_local_time_at(path: LevyPath, a: float, t: float | None = None,
     level a over [0, t] (t a grid time; the whole horizon by default)."""
     nodes = build_nodes(path)
     if t is not None:
-        m = grid_step(path, t)
-        stop = int(nodes.grid_index[m]) + 1
-        keep = nodes.jump_post < stop
-        nodes = type(nodes)(times=nodes.times[:stop], values=nodes.values[:stop],
-                            kinds=nodes.kinds[:stop],
-                            jump_post=nodes.jump_post[keep],
-                            jump_sizes=nodes.jump_sizes[keep],
-                            grid_index=nodes.grid_index[: m + 1])
+        nodes = node_prefix(nodes, int(nodes.grid_index[grid_step(path, t)]) + 1)
     return tanaka_local_time(scan_height(nodes, path.beta_eff), a, variant)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "hitting_time",
     "node_weights",
     "build_nodes",
+    "node_prefix",
     "truncate_at_level",
     "sim_config_from_config",
     "sim_config_to_config",
@@ -288,6 +289,14 @@ def build_nodes(path: LevyPath) -> Nodes:
     return Nodes(times, values, kinds, post, j.sizes.copy(), grid)
 
 
+def node_prefix(nodes: Nodes, stop: int) -> Nodes:
+    """The first stop nodes, with the jumps and grid vertices among them."""
+    n_jumps = int(np.searchsorted(nodes.jump_post, stop))
+    return Nodes(nodes.times[:stop], nodes.values[:stop], nodes.kinds[:stop],
+                 nodes.jump_post[:n_jumps], nodes.jump_sizes[:n_jumps],
+                 nodes.grid_index[:int(np.searchsorted(nodes.grid_index, stop))])
+
+
 def truncate_at_level(nodes: Nodes, x: float) -> tuple[Nodes, float] | None:
     """Cut a node sequence at the first passage of -x.
 
@@ -310,15 +319,10 @@ def truncate_at_level(nodes: Nodes, x: float) -> tuple[Nodes, float] | None:
         v0, v1 = vals[i - 1], vals[i]
         t0, t1 = nodes.times[i - 1], nodes.times[i]
         tau = float(t0 + (t1 - t0) * (v0 + x) / (v0 - v1))
-    keep = nodes.jump_post < i
-    out = Nodes(
-        times=np.concatenate((nodes.times[:i], [tau])),
-        values=np.concatenate((vals[:i], [-x])),
-        kinds=np.concatenate((nodes.kinds[:i], [np.uint8(_KIND_GRID)])),
-        jump_post=nodes.jump_post[keep],
-        jump_sizes=nodes.jump_sizes[keep],
-        grid_index=nodes.grid_index[nodes.grid_index < i],
-    )
+    head = node_prefix(nodes, i)
+    out = replace(head, times=np.concatenate((head.times, [tau])),
+                  values=np.concatenate((head.values, [-x])),
+                  kinds=np.concatenate((head.kinds, [np.uint8(_KIND_GRID)])))
     return out, tau
 
 

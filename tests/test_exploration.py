@@ -29,6 +29,9 @@ FELLER = BranchingMechanism(0.5, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5), (0.3, 1.0))))
 POWER = BranchingMechanism(0.5, 1.0, JumpMeasure(
     power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
+# the README's unbounded power law: infinite jump variance
+POWER_UNBOUNDED = BranchingMechanism(0.5, 1.0, JumpMeasure(
+    power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=None)))
 
 
 # -- stack unit behavior -------------------------------------------------------
@@ -153,14 +156,16 @@ def _assert_engines_agree(nodes: Nodes, beta: float) -> None:
 def test_sweep_matches_direct_formula_on_dense_power_law_path():
     cfg = SimConfig(dt=2.5e-4, horizon=4.0, truncation_delta=0.01,
                     small_jump_mode="gaussian_correction", seed=3)
-    p = sample_path(POWER, cfg)
-    nodes = build_nodes(p)
-    assert len(p.jumps) >= 2500
-    assert (scan_height(nodes, p.beta_eff).final_erosion > 0.0).any()
-    _assert_engines_agree(nodes, p.beta_eff)
-    cut, _ = truncate_at_level(nodes, 1.2)
-    assert len(cut.jump_post) >= 1000
-    _assert_engines_agree(cut, p.beta_eff)
+    # the unbounded law drifts down faster, so fewer jumps precede the cut
+    for mech, cut_jumps in ((POWER, 1000), (POWER_UNBOUNDED, 600)):
+        p = sample_path(mech, cfg)
+        nodes = build_nodes(p)
+        assert len(p.jumps) >= 2500
+        assert (scan_height(nodes, p.beta_eff).final_erosion > 0.0).any()
+        _assert_engines_agree(nodes, p.beta_eff)
+        cut, _ = truncate_at_level(nodes, 1.2)
+        assert len(cut.jump_post) >= cut_jumps
+        _assert_engines_agree(cut, p.beta_eff)
 
 
 def _hand_nodes(times, values, kinds) -> Nodes:
@@ -317,12 +322,56 @@ def _suffix_path(p: LevyPath, t_cut: float) -> LevyPath:
 def test_surviving_atoms_match_erosion_formula():
     for i in range(10):
         p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=13), path_index=i)
-        sc = scan_height(build_nodes(p), p.beta_eff)
+        sc = direct_height(build_nodes(p), p.beta_eff)
         stack, _ = stack_at(p, p.horizon)
         atom_masses = sorted(r["mass"] for r in stack.records() if r["kind"] == "atom")
         live = sorted(v for v in sc.final_erosion if v > 1e-12)
         assert len(atom_masses) == len(live)
         assert np.allclose(atom_masses, live, atol=1e-10)
+
+
+def _replay(p: LevyPath, t: float) -> tuple[ExplorationStack, float]:
+    """Stack and running infimum at grid time t, by feeding the build_nodes
+    pieces up to t one at a time through push_jump and advance_continuous."""
+    nodes = build_nodes(p)
+    stop = int(nodes.grid_index[int(round(t / p.dt))])
+    is_jump = nodes.piece_is_jump()
+    stack = ExplorationStack(p.beta_eff)
+    inf0 = 0.0
+    for i in range(1, stop + 1):
+        d = float(nodes.values[i] - nodes.values[i - 1])
+        if is_jump[i - 1]:
+            stack.push_jump(d)
+        else:
+            inf0 -= stack.advance_continuous(d)
+    return stack, inf0
+
+
+def _atoms(stack: ExplorationStack) -> list[tuple[float, float]]:
+    return [(r["mass"], r["height"]) for r in stack.records()
+            if r["kind"] == "atom" and r["mass"] > 1e-9]
+
+
+def test_per_event_replay_matches_stack_at():
+    power = SimConfig(dt=1e-3, horizon=2.0, truncation_delta=0.01,
+                      small_jump_mode="gaussian_correction", seed=41)
+    jumpy = SimConfig(dt=1e-3, horizon=2.0, seed=43)
+    n_atoms = 0
+    for mech, cfg in ((POWER, power), (JUMPY, jumpy)):
+        for i in range(3):
+            p = sample_path(mech, cfg, path_index=i)
+            for t in (0.5, 1.0, 1.7, 2.0):
+                snap, inf_snap = stack_at(p, t)
+                ref, inf_ref = _replay(p, t)
+                assert snap.height == pytest.approx(ref.height, abs=1e-9)
+                assert snap.total_mass == pytest.approx(ref.total_mass, abs=1e-9)
+                assert inf_snap == pytest.approx(inf_ref, abs=1e-9)
+                got, want = _atoms(snap), _atoms(ref)
+                assert len(got) == len(want)
+                if got:
+                    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
+                n_atoms += len(got)
+    assert n_atoms >= 100
 
 
 def test_height_nonnegative_and_zero_only_when_empty():
