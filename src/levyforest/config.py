@@ -95,16 +95,16 @@ def _validate_harness(h: dict) -> dict:
     _validate_dts(out)
     if out["noise"]["f"] is not None:
         out["noise"]["f"] = _grid_function(out["noise"]["f"], "harness.noise.f")
-    if not isinstance(out["boxes"], list):
-        raise ConfigurationError("harness.boxes: expected a list of boxes")
+    if not (isinstance(out["boxes"], list) and out["boxes"]):
+        raise ConfigurationError("harness.boxes: expected a non-empty list of boxes")
     for i, box in enumerate(out["boxes"]):
         for axis in ("a", "z", "u"):
             rng = box.get(axis) if isinstance(box, dict) else None
             if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-                    or not all(isinstance(v, (int, float)) for v in rng)
+                    or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in rng)
                     or not rng[0] < rng[1]):
                 raise ConfigurationError(
-                    f"harness.boxes[{i}].{axis}: expected [lo, hi] with lo < hi")
+                    f"harness.boxes[{i}].{axis}: expected finite [lo, hi] with lo < hi")
     return out
 
 

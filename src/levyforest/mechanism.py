@@ -19,7 +19,6 @@ sigma in (1, 2).  That keeps quadrature out of simulation inner loops.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -131,80 +130,47 @@ class JumpMeasure:
 
     # -- closed-form moments --------------------------------------------------
 
+    def _tail_cut(self, lo: float, hi: float):
+        """The power law's support cut to (lo, hi] as (a, b), or None when
+        that cut is empty or there is no power law."""
+        pl = self.power_law
+        if pl is None:
+            return None
+        a = max(lo, pl.z_min)
+        b = hi if pl.z_max is None else min(hi, pl.z_max)
+        return (a, b) if b > a else None
+
+    def moment(self, p: int, lo: float = 0.0, hi: float = math.inf) -> float:
+        """int_(lo,hi] z**p pi(dz) for p in {0, 1, 2}; inf where the power
+        law's integral diverges at 0 or overflows just above it."""
+        total = sum(w * (1.0, z, z * z)[p] for z, w in self.atoms if lo < z <= hi)
+        cut = self._tail_cut(lo, hi)
+        if cut is not None:
+            a, b = cut
+            e = p - self.power_law.sigma
+            try:
+                total += self.power_law.c * (b ** e - a ** e) / e
+            except (ZeroDivisionError, OverflowError):     # 0.0 ** e or tiny a ** e, e < 0
+                return math.inf
+        return total
+
     def z_z2_mass(self) -> float:
         """int (z ^ z^2) pi(dz); finite for every admissible measure."""
-        total = sum(w * min(z, z * z) for z, w in self.atoms)
-        pl = self.power_law
-        if pl is not None:
-            lo, hi = pl.z_min, pl.z_max
-            split = 1.0 if hi is None else min(1.0, hi)
-            if lo < split:  # z^2 part below 1
-                total += pl.c * (split ** (2.0 - pl.sigma) - lo ** (2.0 - pl.sigma)) / (2.0 - pl.sigma)
-            lo2 = max(lo, 1.0)
-            if hi is None:
-                total += pl.c * lo2 ** (1.0 - pl.sigma) / (pl.sigma - 1.0)
-            elif hi > lo2:
-                total += pl.c * (lo2 ** (1.0 - pl.sigma) - hi ** (1.0 - pl.sigma)) / (pl.sigma - 1.0)
+        total = self.moment(2, 0.0, 1.0) + self.moment(1, 1.0)
         if not math.isfinite(total):
             raise ConfigurationError("jump measure has infinite (z ^ z^2) mass")
-        return total
-
-    def mass_above(self, delta: float) -> float:
-        """pi((delta, inf))."""
-        total = sum(w for z, w in self.atoms if z > delta)
-        pl = self.power_law
-        if pl is not None:
-            lo = max(delta, pl.z_min)
-            hi_term = 0.0 if pl.z_max is None else pl.z_max ** (-pl.sigma)
-            if pl.z_max is None or lo < pl.z_max:
-                total += pl.c * (lo ** (-pl.sigma) - hi_term) / pl.sigma
-        return total
-
-    def mass_in(self, lo: float, hi: float) -> float:
-        """pi((lo, hi])."""
-        total = sum(w for z, w in self.atoms if lo < z <= hi)
-        pl = self.power_law
-        if pl is not None:
-            a = max(lo, pl.z_min)
-            b = hi if pl.z_max is None else min(hi, pl.z_max)
-            if b > a:
-                total += pl.c * (a ** (-pl.sigma) - b ** (-pl.sigma)) / pl.sigma
-        return total
-
-    def mean_above(self, delta: float) -> float:
-        """int_delta^inf z pi(dz)."""
-        total = sum(z * w for z, w in self.atoms if z > delta)
-        pl = self.power_law
-        if pl is not None:
-            lo = max(delta, pl.z_min)
-            hi_term = 0.0 if pl.z_max is None else pl.z_max ** (1.0 - pl.sigma)
-            if pl.z_max is None or lo < pl.z_max:
-                total += pl.c * (lo ** (1.0 - pl.sigma) - hi_term) / (pl.sigma - 1.0)
-        return total
-
-    def m2_below(self, delta: float) -> float:
-        """int_0^delta z^2 pi(dz); the variance rate of the dropped small jumps."""
-        total = sum(z * z * w for z, w in self.atoms if z <= delta)
-        pl = self.power_law
-        if pl is not None:
-            hi = delta if pl.z_max is None else min(delta, pl.z_max)
-            if hi > pl.z_min:
-                total += pl.c * (hi ** (2.0 - pl.sigma) - pl.z_min ** (2.0 - pl.sigma)) / (2.0 - pl.sigma)
         return total
 
     def compensated_integral_above(self, delta: float, lam: float) -> float:
         """int_delta^inf (exp(-lam z) - 1 + lam z) pi(dz)."""
         total = sum(w * _compensated_exp(lam * z) for z, w in self.atoms if z > delta)
-        pl = self.power_law
-        if pl is not None and lam > 0.0:
-            lo = max(delta, pl.z_min)
-            if pl.z_max is None or lo < pl.z_max:
-                upper = 0.0 if pl.z_max is None else _tail_compensator(lam * pl.z_max, pl.sigma)
-                total += pl.c * lam ** pl.sigma * (_tail_compensator(lam * lo, pl.sigma) - upper)
+        cut = self._tail_cut(delta, math.inf)
+        if cut is not None and lam > 0.0:
+            a, b = cut
+            s = self.power_law.sigma
+            upper = 0.0 if b == math.inf else _tail_compensator(lam * b, s)
+            total += self.power_law.c * lam ** s * (_tail_compensator(lam * a, s) - upper)
         return float(total)
-
-    def compensated_integral(self, lam: float) -> float:
-        return self.compensated_integral_above(0.0, lam)
 
     # -- sampling -------------------------------------------------------------
 
@@ -215,19 +181,14 @@ class JumpMeasure:
         if pl is not None and pl.z_min == 0.0 and delta == 0.0:
             raise ConfigurationError("sim.truncation_delta: power-law jumps reaching 0 "
                                      "require truncation_delta > 0")
-        rate = self.mass_above(delta)
+        rate = self.moment(0, delta)
         if rate <= 0.0:
             return 0.0, None
         sizes = np.array([z for z, _ in self.atoms if z > delta])
         weights = np.array([w for z, w in self.atoms if z > delta])
-        pl_mass = 0.0
-        if pl is not None:
-            lo = max(delta, pl.z_min)
-            if pl.z_max is None or lo < pl.z_max:
-                hi_term = 0.0 if pl.z_max is None else pl.z_max ** (-pl.sigma)
-                pl_mass = pl.c * (lo ** (-pl.sigma) - hi_term) / pl.sigma
-
+        pl_mass = JumpMeasure(power_law=pl).moment(0, delta)
         probs = np.append(weights, pl_mass) / rate
+        cut = self._tail_cut(delta, math.inf)
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
             kinds = rng.choice(len(probs), size=n, p=probs)
@@ -237,11 +198,9 @@ class JumpMeasure:
                 out[atom_mask] = sizes[kinds[atom_mask]]
             tail_mask = ~atom_mask
             if tail_mask.any():
-                lo = max(delta, pl.z_min)
-                lo_t = lo ** (-pl.sigma)
-                hi_t = 0.0 if pl.z_max is None else pl.z_max ** (-pl.sigma)
+                a_t, b_t = (x ** -pl.sigma for x in cut)
                 u = rng.random(int(tail_mask.sum()))
-                out[tail_mask] = (lo_t - u * (lo_t - hi_t)) ** (-1.0 / pl.sigma)
+                out[tail_mask] = (a_t - u * (a_t - b_t)) ** (-1.0 / pl.sigma)
             return out
 
         return rate, draw
@@ -265,26 +224,13 @@ class BranchingMechanism:
         if self.beta < 0.0:
             raise ConfigurationError("beta must be >= 0")
         self.jumps.z_z2_mass()
-        self._spot_check_shape()
-
-    def _spot_check_shape(self):
-        lam = np.linspace(0.0, 8.0, 17)
-        vals = np.array([self.psi(x) for x in lam])
-        if vals[0] != 0.0:
-            raise ConfigurationError("psi(0) must be 0")
-        d1 = np.diff(vals)
-        if (d1 < -1e-9).any():
-            raise ConfigurationError("psi must be nondecreasing on [0, inf)")
-        if (np.diff(d1) < -1e-9 * (1.0 + vals[-1])).any():
-            raise ConfigurationError("psi must be convex on [0, inf)")
 
     # -- exponent -------------------------------------------------------------
 
     def psi(self, lam: float) -> float:
         if lam < 0.0:
             raise ValueError("psi requires lam >= 0")
-        return (self.alpha * lam + self.beta * lam * lam
-                + self.jumps.compensated_integral(lam))
+        return self.truncated_exponent(lam, 0.0)
 
     def truncated_exponent(self, lam: float, delta: float, gaussian_correction: bool = False) -> float:
         """Exponent of the simulated process after dropping jumps <= delta.
@@ -298,7 +244,7 @@ class BranchingMechanism:
         out = (self.alpha * lam + self.beta * lam * lam
                + self.jumps.compensated_integral_above(delta, lam))
         if gaussian_correction:
-            out += 0.5 * self.jumps.m2_below(delta) * lam * lam
+            out += 0.5 * self.jumps.moment(2, 0.0, delta) * lam * lam
         return out
 
     # -- the flow v_t(lam) ----------------------------------------------------
@@ -439,10 +385,3 @@ def mechanism_to_config(mech: BranchingMechanism) -> dict:
         },
     }
 
-
-def mechanism_from_json(text: str) -> BranchingMechanism:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"mechanism: invalid JSON ({exc})") from None
-    return mechanism_from_config(obj)

@@ -99,10 +99,10 @@ def simulated_law(mech: BranchingMechanism, cfg: SimConfig):
     """
     delta = cfg.truncation_delta
     rate, draw = mech.jumps.sampler_above(delta)
-    comp = mech.jumps.mean_above(delta)
+    comp = mech.jumps.moment(1, delta)
     var_rate = 2.0 * mech.beta
     if cfg.small_jump_mode == "gaussian_correction":
-        var_rate += mech.jumps.m2_below(delta)
+        var_rate += mech.jumps.moment(2, 0.0, delta)
     return rate, draw, comp, var_rate
 
 

@@ -474,7 +474,7 @@ class MarkBox:
     u: tuple[float, float]
 
     def volume_intensity(self, mech: BranchingMechanism) -> float:
-        return (self.a[1] - self.a[0]) * mech.jumps.mass_in(*self.z) * (self.u[1] - self.u[0])
+        return (self.a[1] - self.a[0]) * mech.jumps.moment(0, *self.z) * (self.u[1] - self.u[0])
 
 
 
@@ -799,8 +799,11 @@ def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
     measure in ds x pi(dz) x du on covered boxes."""
     block = harness["poisson"]
     x, m_paths, width = block["x"], block["paths"], block["level_width"]
-    boxes = [MarkBox(tuple(b["a"]), tuple(b["z"]), tuple(b["u"]))
-             for b in harness["boxes"] or DEFAULT_HARNESS["boxes"]]
+    boxes = [MarkBox(tuple(b["a"]), tuple(b["z"]), tuple(b["u"])) for b in harness["boxes"]]
+    intensities = [b.volume_intensity(oracle) for b in boxes]
+    for i, intensity in enumerate(intensities):
+        if math.isinf(intensity):
+            raise ConfigurationError(f"harness.boxes[{i}].z: infinite jump mass")
     sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
 
     prof_level = max(b.a[1] for b in boxes)
@@ -823,9 +826,8 @@ def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
                      "level_width": width,
                      "boxes": [{"a": list(b.a), "z": list(b.z), "u": list(b.u)}
                                for b in boxes]})
-    for b_idx, b in enumerate(boxes):
+    for b_idx, intensity in enumerate(intensities):
         c = C[:, b_idx]
-        intensity = b.volume_intensity(oracle)
         report.cells.append(_mean_cell("mark_count_mean",
                                        {"box": b_idx, "intensity": intensity},
                                        c, intensity, 0.0))

@@ -21,6 +21,9 @@ def write_cfg(tmp_path, name, obj):
     return str(p)
 
 
+BOUNDED_POWER_LAW = {"alpha": 0.5, "beta": 1.0, "jumps": {"power_law": {
+    "c": 1.0, "sigma": 1.5, "z_min": 0.0, "z_max": 1.0}}}
+
 SMALL_VERIFY = {
     "mechanism": {"alpha": 0.5, "beta": 1.0},
     "sim": {"dt": 1e-3, "horizon": 24.0, "seed": 17},
@@ -294,12 +297,37 @@ def test_jobs_below_one_exits_2(tmp_path, jobs):
 
 
 def test_jump_free_config_does_not_load_scipy(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json", SMALL_VERIFY)
+    # nor does a bounded power law: building a mechanism evaluates no psi
+    power_law = dict(SMALL_VERIFY, mechanism=BOUNDED_POWER_LAW,
+                     sim={"dt": 1e-3, "horizon": 24.0, "truncation_delta": 0.03,
+                          "small_jump_mode": "gaussian_correction"})
     code = ("import sys, levyforest.cli; levyforest.cli.load_run_config(sys.argv[1]); "
             "print('scipy' in sys.modules)")
-    r = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    for obj in (SMALL_VERIFY, power_law):
+        cfg = write_cfg(tmp_path, "c.json", obj)
+        r = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("box,field", [
+    ({"a": [0.0, 0.5], "z": [0.0, 0.5], "u": [0.0, 0.5]}, "harness.boxes[0].z"),
+    ({"a": [0.0, 0.5], "z": [1e-308, 0.5], "u": [0.0, 0.5]}, "harness.boxes[0].z"),
+    ({"a": [0.0, float("inf")], "z": [0.8, 1.2], "u": [0.0, 0.5]}, "harness.boxes[0].a"),
+    (None, "harness.boxes"),
+])
+def test_bad_mark_box_exits_2(tmp_path, box, field):
+    # a z-range reaching the power law's 0 has infinite jump mass (and one
+    # starting at 1e-308 more than a float holds), JSON Infinity is a float,
+    # and an empty list has no box to count in
+    obj = dict(SMALL_VERIFY, mechanism=BOUNDED_POWER_LAW,
+               sim={"dt": 1e-3, "horizon": 24.0, "truncation_delta": 0.05})
+    obj["harness"] = dict(obj["harness"], boxes=[] if box is None else [box])
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = run_cli("verify", "poisson-marks", "--config", cfg, "--out", str(tmp_path / "v"))
+    assert r.returncode == 2, r.stderr
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_suite_horizon_must_exceed_its_step(tmp_path):
@@ -473,5 +501,14 @@ def _fuzz_run(tmp_path, capsys, command, edits, flags):
                       max_size=2).map(lambda fs: [a for f in fs for a in f]))
 @example(command=["verify", "ray-knight"], edits=[], flags=["--paths", "0"])
 @example(command=["verify", "ray-knight"], edits=[], flags=["--dt", "0.7"])
+@example(command=["verify", "poisson-marks"], flags=[], edits=[
+    (("mechanism", "jumps"), BOUNDED_POWER_LAW["jumps"]), (("sim", "truncation_delta"), 0.05),
+    (("harness", "boxes"), [{"a": [0.0, 0.5], "z": [0.0, 0.5], "u": [0.0, 0.5]}])])
+@example(command=["verify", "poisson-marks"], flags=[], edits=[
+    (("mechanism", "jumps"), BOUNDED_POWER_LAW["jumps"]), (("sim", "truncation_delta"), 0.05),
+    (("harness", "boxes"), [{"a": [0.0, float("inf")], "z": [0.8, 1.2], "u": [0.0, 0.5]}])])
+@example(command=["verify", "poisson-marks"], flags=[], edits=[
+    (("mechanism", "jumps"), BOUNDED_POWER_LAW["jumps"]), (("sim", "truncation_delta"), 0.05),
+    (("harness", "boxes"), [])])
 def test_cli_runs_or_names_the_field(tmp_path, capsys, command, edits, flags):
     _fuzz_run(tmp_path, capsys, command, edits, flags)

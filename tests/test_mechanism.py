@@ -1,8 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyforest import (
     BranchingMechanism,
@@ -12,7 +13,7 @@ from levyforest import (
     mechanism_from_config,
     mechanism_to_config,
 )
-from levyforest.mechanism import _tail_compensator, mechanism_from_json
+from levyforest.mechanism import _tail_compensator
 
 FELLER = BranchingMechanism(0.0, 1.0)
 LINEAR = BranchingMechanism(1.0, 0.0)
@@ -81,7 +82,7 @@ def test_power_law_psi_matches_riemann_oracle():
                      power_law=PowerLawTail(c=0.5, sigma=1.7, z_min=0.2, z_max=5.0)))):
         for lam in (0.4, 1.0, 2.3, 6.0):
             oracle = riemann_compensated_integral(mech.jumps, lam)
-            got = mech.jumps.compensated_integral(lam)
+            got = mech.jumps.compensated_integral_above(0.0, lam)
             assert got == pytest.approx(oracle, rel=1e-6)
 
 
@@ -196,13 +197,13 @@ def test_moment_closed_forms_against_quadrature():
     z = np.linspace(1e-9, 3.0, 4_000_000)
     dens = 0.4 * z ** (-2.4)
     delta = 0.7
-    assert jm.mass_above(delta) == pytest.approx(
+    assert jm.moment(0, delta) == pytest.approx(
         0.25 + np.trapezoid(dens[z > delta], z[z > delta]), rel=1e-4)
-    assert jm.mean_above(delta) == pytest.approx(
+    assert jm.moment(1, delta) == pytest.approx(
         2.0 * 0.25 + np.trapezoid((z * dens)[z > delta], z[z > delta]), rel=1e-4)
-    assert jm.m2_below(delta) == pytest.approx(
+    assert jm.moment(2, 0.0, delta) == pytest.approx(
         0.5 ** 2 + np.trapezoid((z * z * dens)[z <= delta], z[z <= delta]), rel=1e-3)
-    assert jm.mass_in(0.4, 2.5) == pytest.approx(
+    assert jm.moment(0, 0.4, 2.5) == pytest.approx(
         1.0 + 0.25 + np.trapezoid(dens[(z > 0.4) & (z <= 2.5)], z[(z > 0.4) & (z <= 2.5)]),
         rel=1e-4)
     assert math.isfinite(jm.z_z2_mass())
@@ -227,8 +228,6 @@ def test_mechanism_config_roundtrip():
     obj = mechanism_to_config(MIXED)
     again = mechanism_from_config(obj)
     assert again == MIXED
-    text = json.dumps(obj)
-    assert mechanism_from_json(text) == MIXED
 
 
 def test_mechanism_config_errors_name_fields():
@@ -237,5 +236,64 @@ def test_mechanism_config_errors_name_fields():
     with pytest.raises(ConfigurationError, match=r"atoms\[0\]"):
         mechanism_from_config({"alpha": 0.0, "beta": 1.0,
                                "jumps": {"atoms": [{"z": 1.0}]}})
-    with pytest.raises(ConfigurationError, match="invalid JSON"):
-        mechanism_from_json("{")
+
+
+# -- admissible mechanisms ---------------------------------------------------
+
+@st.composite
+def mechanisms(draw):
+    """alpha, beta in [0, 3], 0-3 atoms, and an optional power law with sigma
+    in (1.01, 1.99), z_min 0 or in (0, 0.5), and z_max None or above z_min."""
+    atoms = draw(st.lists(st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 3.0)), max_size=3))
+    power_law = None
+    if draw(st.booleans()):
+        z_min = draw(st.just(0.0) | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+        gap = draw(st.none() | st.floats(0.01, 5.0))
+        power_law = PowerLawTail(c=draw(st.floats(0.05, 3.0)),
+                                 sigma=draw(st.floats(1.01, 1.99)), z_min=z_min,
+                                 z_max=None if gap is None else z_min + gap)
+    return BranchingMechanism(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)),
+                              JumpMeasure(atoms=tuple(atoms), power_law=power_law))
+
+
+def quad_moment(jm: JumpMeasure, p: int, lo: float, hi: float) -> float:
+    """int_(lo,hi] z**p pi(dz) by quadrature of the density plus the atoms.
+
+    The density is integrated in t = log z: near 0 the mass of z**(1-sigma)
+    sits at scales far below what a quadrature rule in z resolves.
+    """
+    from scipy.integrate import quad
+
+    total = sum(w * z ** p for z, w in jm.atoms if lo < z <= hi)
+    pl = jm.power_law
+    if pl is not None:
+        a = max(lo, pl.z_min)
+        b = hi if pl.z_max is None else min(hi, pl.z_max)
+        if b > a:
+            e = p - pl.sigma
+            val, _ = quad(lambda t: pl.c * math.exp(e * t),
+                          -math.inf if a == 0.0 else math.log(a), math.log(b),
+                          epsabs=0.0, epsrel=1e-11, limit=200)
+            total += val
+    return total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mech=mechanisms(), lo=st.just(0.0) | st.floats(0.0, 3.0),
+       width=st.none() | st.floats(0.01, 5.0), split=st.floats(0.0, 1.0))
+def test_psi_shape_and_moments_of_admissible_mechanisms(mech, lo, width, split):
+    # psi(0) = 0, nondecreasing and convex on the grid, up to rounding
+    vals = np.array([mech.psi(x) for x in np.linspace(0.0, 8.0, 17)])
+    assert vals[0] == 0.0
+    d1 = np.diff(vals)
+    assert (d1 >= -1e-9).all()
+    assert (np.diff(d1) >= -1e-9 * (1.0 + vals[-1])).all()
+
+    jm = mech.jumps
+    hi = math.inf if width is None else lo + width
+    mid = lo + split * (5.0 if width is None else width)
+    for p in (0, 1, 2):
+        got = jm.moment(p, lo, hi)
+        if math.isfinite(got):
+            assert got == pytest.approx(quad_moment(jm, p, lo, hi), rel=1e-7)
+        assert jm.moment(p, lo, mid) + jm.moment(p, mid, hi) == pytest.approx(got, rel=1e-12)

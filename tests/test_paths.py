@@ -122,7 +122,7 @@ def test_gaussian_correction_moves_the_exponent():
     assert abs(samples.mean() - target) <= 3 * se
     # and the path records the folded coefficient
     p = sample_path(mech, cfg, path_index=0)
-    assert p.beta_eff == pytest.approx(mech.beta + 0.5 * mech.jumps.m2_below(0.2))
+    assert p.beta_eff == pytest.approx(mech.beta + 0.5 * mech.jumps.moment(2, 0.0, 0.2))
 
 
 def test_power_law_to_zero_requires_truncation():
