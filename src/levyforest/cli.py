@@ -24,13 +24,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .cb_flow import simulate_cb
 from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, PreconditionError
 from .exploration import scan_height
-from .local_time import default_level_width, occupation_local_time
+from .local_time import default_level_width, level_bins, running_local_time
 from .paths import build_nodes, sample_path, write_csv, write_jumps_csv, write_path_csv
 from .verify import SUITES, run_all, run_suite
 
@@ -91,7 +89,7 @@ def _out_dir(run: RunConfig, args) -> str:
 
 def _write_sidecar(out: str, name: str, run: RunConfig) -> None:
     with open(os.path.join(out, f"{name}.config.json"), "w", encoding="utf-8") as fp:
-        json.dump(run.to_dict(), fp, sort_keys=True, indent=2)
+        json.dump(run.to_dict(), fp, sort_keys=True, indent=2, allow_nan=False)
         fp.write("\n")
 
 
@@ -132,9 +130,13 @@ def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
     sc = scan_height(nodes, path.beta_eff)
     _csv(out, "height.csv", write_csv, ["time", "height"], path.grid_times(),
          sc.grid_height())
+    # one row per vertex above 0: its bin's left edge and L_s(H_s) before it
     width = default_level_width(cfg.dt, path.beta_eff)
-    edges = np.arange(0.0, max(sc.height.max() + 2 * width, 2 * width), width)
-    _csv(out, "local_time.csv", occupation_local_time(nodes.times, sc.height, edges).write_csv)
+    lb = level_bins(nodes.times, sc.height, width)
+    running = running_local_time(nodes.times, sc.height, width, binned=lb)
+    up = lb.key > 0
+    _csv(out, "local_time.csv", write_csv, ["time", "level", "local_time"],
+         nodes.times[up], (lb.key[up] - 1) * width, running[up])
     _write_sidecar(out, "height", run)
     return EXIT_OK
 
@@ -149,7 +151,7 @@ def _cmd_verify(run: RunConfig, suite: str, out: str, jobs: int) -> int:
     payload["pass"] = all(r.passed for r in reports)
     report_path = os.path.join(out, f"verify_{suite}.json")
     with open(report_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, sort_keys=True, indent=2)
+        json.dump(payload, fp, sort_keys=True, indent=2, allow_nan=False)
         fp.write("\n")
     for r in reports:
         status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")

@@ -83,6 +83,8 @@ def _validate_harness(h: dict) -> dict:
             out[key] = float(out[key])
         except (TypeError, ValueError):
             raise ConfigurationError(f"harness.{key}: expected a number") from None
+        if not math.isfinite(out[key]):
+            raise ConfigurationError(f"harness.{key}: must be finite")
     out["paths"] = _path_count(out["paths"], "harness.paths")
     if out["x"] < 0:
         raise ConfigurationError("harness.x: must be >= 0")

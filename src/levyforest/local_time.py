@@ -6,6 +6,9 @@ This is the normalization in which the level profile at a first-passage time
 is itself a branching process, so no semimartingale 2*beta factor appears
 anywhere.  Bins are half-open on the left; a vertex with H exactly 0 belongs
 to no bin, matching the vanishing occupation of the zero level in the limit.
+One level_bins pass per trajectory feeds both binned estimators: the final
+profile (occupation_profile) and the predictable running value L_s(H_s) at
+every vertex (running_local_time).
 
 The default bin width couples to the grid step as max(dt^(1/3),
 4/beta*sqrt(dt)), balancing occupation variance against level-resolution
@@ -36,16 +39,13 @@ import numpy as np
 
 from .exploration import HeightScan, scan_height
 from .paths import (LevyPath, build_nodes, grid_step, node_prefix, node_weights,
-                    truncate_at_level, write_csv)
+                    truncate_at_level)
 
 __all__ = [
     "default_level_width",
     "aligned_level_width",
-    "bin_of",
     "LevelBins",
     "level_bins",
-    "LocalTimeField",
-    "occupation_local_time",
     "occupation_profile",
     "running_local_time",
     "occupation_below",
@@ -88,11 +88,6 @@ def _level_key(heights, width: float) -> tuple[np.ndarray, int]:
     return q.astype(dtype), top
 
 
-def bin_of(h, width: float):
-    """Index of the bin (j*width, (j+1)*width] containing h; -1 for h <= 0."""
-    return _level_key(np.atleast_1d(h), width)[0].astype(np.int64) - 1
-
-
 @dataclass(frozen=True)
 class LevelBins:
     """The vertices of one trajectory binned by level, once for every
@@ -117,69 +112,7 @@ def level_bins(times: np.ndarray, heights: np.ndarray, width: float) -> LevelBin
 
 
 # ---------------------------------------------------------------------------
-# binned field (desk-scale, full time-by-level matrix)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalTimeField:
-    """Cumulative occupation-density estimates L_t(bin) on a level grid.
-
-    values[i, b] is the estimate at time times[i], i.e. the occupation of
-    bin b strictly before times[i] divided by the bin width.  Rows are
-    nondecreasing in i for every bin.
-    """
-
-    level_edges: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def width(self) -> float:
-        return float(self.level_edges[1] - self.level_edges[0])
-
-    def level_index(self, a: float) -> int:
-        """Bin whose left edge is a (the estimator bin (a, a+da])."""
-        ratio = a / self.width
-        j = int(round(ratio))
-        if abs(ratio - j) > 1e-6 or not 0 <= j < self.values.shape[1]:
-            raise ValueError(f"level {a} is not an edge of the bin grid")
-        return j
-
-    def at(self, a: float, t_index: int = -1) -> float:
-        return float(self.values[t_index, self.level_index(a)])
-
-    def write_csv(self, fp) -> None:
-        n, nb = self.values.shape
-        write_csv(fp, ["time", "level", "local_time"], np.repeat(self.times, nb),
-                  np.tile(self.level_edges[:-1], n), self.values.ravel())
-
-
-def occupation_local_time(times: np.ndarray, heights: np.ndarray,
-                          level_edges: np.ndarray,
-                          t_max: float | None = None) -> LocalTimeField:
-    """Bin the occupation of a height trajectory (left-point weights),
-    optionally clipped at t_max."""
-    times = np.asarray(times, dtype=float)
-    heights = np.asarray(heights, dtype=float)
-    if len(times) == 0:
-        raise ValueError("empty trajectory")
-    edges = np.asarray(level_edges, dtype=float)
-    width = float(edges[1] - edges[0])
-    nb = len(edges) - 1
-    w = node_weights(times)
-    if t_max is not None:
-        w = np.minimum(w, np.maximum(t_max - times, 0.0))
-    bins = bin_of(heights, width)
-    inc = np.zeros((len(times), nb))
-    ok = (bins >= 0) & (bins < nb)
-    np.add.at(inc, (np.flatnonzero(ok), bins[ok]), w[ok])
-    values = np.zeros_like(inc)
-    np.cumsum(inc[:-1], axis=0, out=values[1:])
-    return LocalTimeField(level_edges=edges, times=times, values=values / width)
-
-
-# ---------------------------------------------------------------------------
-# fast one-shot estimators (the forms the Monte Carlo harness uses)
+# binned estimators: profile and running local time from one level_bins pass
 # ---------------------------------------------------------------------------
 
 def occupation_profile(times: np.ndarray, heights: np.ndarray,
@@ -234,13 +167,9 @@ def running_local_time(times: np.ndarray, heights: np.ndarray, width: float,
     return out
 
 
-def occupation_below(times: np.ndarray, heights: np.ndarray, a: float,
-                     t: float | None = None) -> float:
-    """Time spent with H <= a up to t (whole trajectory by default)."""
-    times = np.asarray(times, dtype=float)
-    w = node_weights(times)
-    if t is not None:
-        w = np.minimum(w, np.maximum(t - times, 0.0))
+def occupation_below(times: np.ndarray, heights: np.ndarray, a: float) -> float:
+    """Time the trajectory spends with H <= a."""
+    w = node_weights(np.asarray(times, dtype=float))
     return float(w[np.asarray(heights) <= a].sum())
 
 
@@ -331,10 +260,9 @@ def jump_erosion_residual(scan: HeightScan, width: float) -> float:
     posts = nodes.jump_post[live]
     sizes = nodes.jump_sizes[live]
     lhs = scan.final_erosion[live] - sizes          # = inf - xi_{t_i} <= 0
-    hj = scan.height[posts]
-    bins = bin_of(hj, width)
-    n_bins = int(bins.max()) + 1 if (bins >= 0).any() else 1
     lb = level_bins(nodes.times, scan.height, width)
+    bins = lb.key[posts].astype(np.int64) - 1       # -1 for an atom at H = 0
+    n_bins = max(int(bins.max()) + 1, 1)
     prof = occupation_profile(nodes.times, scan.height, width, n_bins, binned=lb)
     run = running_local_time(nodes.times, scan.height, width, binned=lb)
     rhs = np.where(bins >= 0, run[posts] - prof[np.maximum(bins, 0)], 0.0)

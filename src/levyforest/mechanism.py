@@ -219,10 +219,10 @@ class BranchingMechanism:
     jumps: JumpMeasure = field(default_factory=JumpMeasure)
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ConfigurationError("alpha must be >= 0")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be >= 0")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(f"mechanism.{name}: must be finite and >= 0")
         self.jumps.z_z2_mass()
 
     # -- exponent -------------------------------------------------------------

@@ -166,14 +166,19 @@ class CheckCell:
     note: str = ""
 
     def to_dict(self) -> dict:
-        params = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+        params = {k: (_json_number(v) if isinstance(v, (int, float, np.floating)) else v)
                   for k, v in self.params.items()}
         return {
-            "name": self.name, "params": params, "stat": float(self.stat),
-            "oracle": float(self.oracle), "stderr": float(self.stderr),
-            "tol": None if math.isinf(self.tol) else float(self.tol),
-            "pass": bool(self.passed), "note": self.note,
+            "name": self.name, "params": params, "stat": _json_number(self.stat),
+            "oracle": _json_number(self.oracle), "stderr": _json_number(self.stderr),
+            "tol": _json_number(self.tol), "pass": bool(self.passed), "note": self.note,
         }
+
+
+def _json_number(v) -> float | None:
+    """v as a float, or None (JSON null) where it is NaN or infinite."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 @dataclass
@@ -260,12 +265,20 @@ def _heights(path: LevyPath, x: float | None = None):
     return nodes, scan_height(nodes, path.beta_eff)
 
 
-def _level_profile(nodes, height: np.ndarray, width: float, levels) -> np.ndarray:
-    """Local-time profile of the trajectory at each level, read in the bin of
-    width width that holds it."""
-    n_bins = int(round(max(levels) / width)) + 1
-    return occupation_profile(nodes.times, height, width, n_bins)[
-        [int(round(a / width)) for a in levels]]
+def _level_bin(a: float, width: float, field: str) -> int:
+    """Index of the bin (a, a + width] that level a opens; a
+    ConfigurationError naming field when a is not a bin edge (to the 1e-9 of
+    aligned_level_width)."""
+    j = round(a / width)
+    if abs(a / width - j) >= 1e-9:
+        raise ConfigurationError(
+            f"{field}: level {a} is not an edge of the level bins of width {width}")
+    return j
+
+
+def _level_profile(nodes, height: np.ndarray, width: float, bins) -> np.ndarray:
+    """Local-time profile of the trajectory in the given bins (of _level_bin)."""
+    return occupation_profile(nodes.times, height, width, max(bins) + 1)[bins]
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +497,14 @@ class MarkBox:
 # ---------------------------------------------------------------------------
 
 def _ray_knight_row(spec, i: int) -> tuple:
-    """Local-time profile of stopped path i at the levels (NaN if it misses -x)."""
-    mech, cfg, x, levels, width = spec
+    """Local-time profile of stopped path i in the level bins (NaN if it
+    misses -x)."""
+    mech, cfg, x, bins, width = spec
     out = _heights(sample_path(mech, cfg, path_index=i, stop_level=x), x)
     if out is None:
-        return (np.full(len(levels), np.nan),)
+        return (np.full(len(bins), np.nan),)
     nodes, sc = out
-    return (_level_profile(nodes, sc.height, width, levels),)
+    return (_level_profile(nodes, sc.height, width, bins),)
 
 
 @_suite(beta="ray-knight suite requires beta > 0",
@@ -510,8 +524,9 @@ def ray_knight_report(mech, cfg, harness, oracle, *, pool):
             0.8 * cfg.dt ** (1.0 / 3.0), levels)
     except ValueError as exc:
         raise ConfigurationError(f"harness.levels: {exc}; set harness.level_width") from None
+    bins = [_level_bin(a, width, "harness.level_width") for a in levels]
 
-    prof, = pool.map(_ray_knight_row, (mech, cfg, x, levels, width), m_paths)
+    prof, = pool.map(_ray_knight_row, (mech, cfg, x, bins, width), m_paths)
     kept, discarded, discard_cell = _discards(
         prof[:, 0], note="report invalid above 5% non-passage")
     P = prof[kept]
@@ -549,7 +564,8 @@ def ray_knight_report(mech, cfg, harness, oracle, *, pool):
 def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
     """The dt ladder coarse to fine, each rung's ratio to the finest step,
     its level width (a divisor of the lowest positive level near dt^(1/3),
-    strictly finer rung by rung) and the finest-step config run to horizon."""
+    strictly finer rung by rung), the bin of each level at that width, and
+    the finest-step config run to horizon."""
     dts = sorted(harness["dts"], reverse=True)
     fine_dt = dts[-1]
     ratios = [int(round(d / fine_dt)) for d in dts]
@@ -561,10 +577,11 @@ def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
     for dt in dts:
         div = max(int(math.ceil(base / dt ** (1.0 / 3.0))), div + 1)
         widths.append(base / div)
-    return dts, ratios, widths, replace(cfg, dt=fine_dt, horizon=horizon)
+    bins = [[_level_bin(a, w, "harness.residual_levels") for a in levels] for w in widths]
+    return dts, ratios, widths, bins, replace(cfg, dt=fine_dt, horizon=horizon)
 
 
-def _residual_and_profile(path: LevyPath, x: float, levels, width: float):
+def _residual_and_profile(path: LevyPath, x: float, levels, bins, width: float):
     """For the path stopped at -x: per level, profile(a) - x - sum of
     1{H_left <= a} * piece increments, and profile(a); None when the path
     never reaches -x."""
@@ -572,7 +589,7 @@ def _residual_and_profile(path: LevyPath, x: float, levels, width: float):
     if out is None:
         return None
     nodes, sc = out
-    prof = _level_profile(nodes, sc.height, width, levels)
+    prof = _level_profile(nodes, sc.height, width, bins)
     d = np.diff(nodes.values)
     return np.array([pa - x - d[sc.height[:-1] <= a].sum() for a, pa in zip(levels, prof)]), prof
 
@@ -583,19 +600,20 @@ def theorem1_residual(path: LevyPath, x: float, levels,
     or None when the path never reaches -x."""
     if width is None:
         width = aligned_level_width(0.8 * path.dt ** (1.0 / 3.0), levels)
-    out = _residual_and_profile(path, x, levels, width)
+    bins = [_level_bin(a, width, "levels") for a in levels]
+    out = _residual_and_profile(path, x, levels, bins, width)
     return None if out is None else out[0]
 
 
 def _theorem1_row(spec, i: int) -> tuple:
     """Residual of path i at each rung and level, and the finest (last)
     rung's profile at each level; NaN if a rung stops short of -x."""
-    mech, cfg, x, levels, ratios, widths = spec
+    mech, cfg, x, levels, ratios, widths, bins = spec
     p = sample_path(mech, cfg, path_index=_NS_THEOREM1 + i,
                     stop_level=x, stop_grid_ratio=max(ratios))
     res = np.empty((len(ratios), len(levels)))
-    for r_idx, (ratio, width) in enumerate(zip(ratios, widths)):
-        out = _residual_and_profile(coarsen_path(p, ratio), x, levels, width)
+    for r_idx, (ratio, width, rung_bins) in enumerate(zip(ratios, widths, bins)):
+        out = _residual_and_profile(coarsen_path(p, ratio), x, levels, rung_bins, width)
         if out is None:                     # a rung misses within horizon => drop
             return np.full_like(res, np.nan), np.full(len(levels), np.nan)
         res[r_idx], prof = out
@@ -609,10 +627,10 @@ def theorem1_report(mech, cfg, harness, oracle, *, pool):
     against the path, with |mean residual| shrinking along the dt ladder."""
     x, levels = harness["x"], harness["residual_levels"]
     m_paths, horizon = harness["theorem1"]["paths"], harness["theorem1"]["horizon"]
-    dts, ratios, widths, fine_cfg = _ladder(cfg, harness, levels, horizon)
+    dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, horizon)
 
     res, prof_fine = pool.map(_theorem1_row,
-                              (mech, fine_cfg, x, levels, ratios, widths), m_paths)
+                              (mech, fine_cfg, x, levels, ratios, widths, bins), m_paths)
     res = np.ascontiguousarray(res.swapaxes(0, 1))     # (rung, path, level), C order
     kept, discarded, discard_cell = _discards(res[0, :, 0])
 
@@ -644,12 +662,12 @@ def theorem1_report(mech, cfg, harness, oracle, *, pool):
 def _tanaka_row(spec, i: int) -> tuple:
     """Occupation and Tanaka (plus) local time of path i at each rung and
     level, and its largest plus/minus gap."""
-    mech, cfg, levels, ratios, widths = spec
+    mech, cfg, levels, ratios, widths, bins = spec
     p = sample_path(mech, cfg, path_index=_NS_TANAKA + i)
     occ, tan, gap = [], [], 0.0
-    for ratio, width in zip(ratios, widths):
+    for ratio, width, rung_bins in zip(ratios, widths, bins):
         nodes, sc = _heights(coarsen_path(p, ratio))
-        occ.append(_level_profile(nodes, sc.height, width, levels))
+        occ.append(_level_profile(nodes, sc.height, width, rung_bins))
         tan.append([tanaka_local_time(sc, a, "plus") for a in levels])
         minus = [tanaka_local_time(sc, a, "minus") for a in levels]
         gap = max([gap] + [abs(pl - mi) for pl, mi in zip(tan[-1], minus)])
@@ -663,10 +681,10 @@ def tanaka_report(mech, cfg, harness, oracle, *, pool):
     minus variants."""
     levels = harness["residual_levels"]
     m_paths, t_window = harness["tanaka"]["paths"], harness["tanaka"]["t"]
-    dts, ratios, widths, fine_cfg = _ladder(cfg, harness, levels, t_window)
+    dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, t_window)
 
     occ, tan, pm_gap = pool.map(_tanaka_row,
-                                (mech, fine_cfg, levels, ratios, widths), m_paths)
+                                (mech, fine_cfg, levels, ratios, widths, bins), m_paths)
     # (rung, path, level) in C order, the layout the sums below were written for
     occ, tan = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (occ, tan))
 
@@ -724,7 +742,7 @@ def white_noise_report(mech, cfg, harness, oracle, *, pool):
     m_paths = block["paths"]
     f = block["f"] or indicator_box(a_lvl, u_max)
     sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
-    n_bins = max(1, int(round(a_lvl / width)))
+    n_bins = max(1, _level_bin(a_lvl, width, "harness.noise.a"))
 
     w_hat, covered = pool.map(_noise_row,
                               (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
@@ -808,11 +826,12 @@ def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
 
     prof_level = max(b.a[1] for b in boxes)
     # profile bins each box's coverage reads, and the bin of prof_level
+    tops = [_level_bin(b.a[1], width, f"harness.boxes[{i}].a") for i, b in enumerate(boxes)]
     box_bins = []
-    for b in boxes:
+    for b, top in zip(boxes, tops):
         lo = max(int(math.floor(b.a[0] / width)), 0)
-        box_bins.append((lo, max(lo + 1, int(round(b.a[1] / width)))))
-    j_level = int(round(prof_level / width))
+        box_bins.append((lo, max(lo + 1, top)))
+    j_level = max(tops)
     n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
 
     counts, covered, prof_vals = pool.map(

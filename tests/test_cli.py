@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -130,8 +131,9 @@ def test_simulate_height_with_only_the_corrected_diffusion(tmp_path):
 def test_every_simulated_csv_parses(tmp_path):
     from levyforest.cli import main
     from levyforest.config import load_run_config
-    from levyforest.exploration import height_trajectory
-    from levyforest.paths import sample_path
+    from levyforest.exploration import height_trajectory, scan_height
+    from levyforest.local_time import default_level_width, level_bins, running_local_time
+    from levyforest.paths import build_nodes, sample_path
 
     cfg = write_cfg(tmp_path, "c.json", {
         "mechanism": {"alpha": 0.5, "beta": 1.0,
@@ -149,8 +151,19 @@ def test_every_simulated_csv_parses(tmp_path):
         tables[name] = [[float(v) for v in row] for row in rows[1:]]
         assert tables[name], name
     run = load_run_config(cfg)
-    expected = height_trajectory(sample_path(run.mechanism, run.sim))
-    assert [h for _, h in tables["height"]] == expected.tolist()
+    path = sample_path(run.mechanism, run.sim)
+    assert [h for _, h in tables["height"]] == height_trajectory(path).tolist()
+    # local_time.csv: one row per vertex above 0, its bin's left edge and the
+    # running local time of that bin strictly before it
+    nodes = build_nodes(path)
+    sc = scan_height(nodes, path.beta_eff)
+    width = default_level_width(run.sim.dt, path.beta_eff)
+    lb = level_bins(nodes.times, sc.height, width)
+    running = running_local_time(nodes.times, sc.height, width, binned=lb)
+    up = sc.height > 0.0
+    assert tables["local_time"] == [[t, (int(k) - 1) * width, u] for t, k, u in
+                                    zip(nodes.times[up], lb.key[up], running[up])]
+    assert len(tables["local_time"]) <= len(nodes.times)
 
 
 def test_simulate_without_out_writes_to_the_harness_out_dir(tmp_path, monkeypatch):
@@ -176,6 +189,20 @@ def test_non_finite_sim_number_exits_2(tmp_path, field, value):
     assert r.returncode == 2
     assert f"sim.{field}" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", float("inf")), ("alpha", float("nan")), ("beta", float("inf"))])
+def test_non_finite_mechanism_number_exits_2(tmp_path, field, value):
+    # the timeout turns a flow integration that never ends into a failure
+    cfg = write_cfg(tmp_path, "c.json", {"mechanism": {"alpha": 0.5, "beta": 1.0,
+                                                       field: value}})
+    for command in (["mechanism", "info"], ["simulate", "levy", "--out", str(tmp_path / "o")]):
+        r = subprocess.run(CLI + command + ["--config", cfg], capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert f"mechanism.{field}" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_verify_suite_noise_beta0_exits_3(tmp_path):
@@ -245,6 +272,16 @@ def test_bad_per_suite_size_exits_2(tmp_path, block, field, value):
     r = run_cli("mechanism", "info", "--config", cfg)
     assert r.returncode == 2
     assert f"harness.{block}.{field}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field", ["x", "mean_budget", "laplace_budget",
+                                   "oracle_alpha_offset"])
+def test_non_finite_harness_number_exits_2(tmp_path, field):
+    cfg = write_cfg(tmp_path, "c.json", {"harness": {field: float("inf")}})
+    r = run_cli("mechanism", "info", "--config", cfg)
+    assert r.returncode == 2
+    assert f"harness.{field}" in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -423,9 +460,9 @@ def test_ray_knight_level_off_the_grid_exits_2(tmp_path, suite, how):
     assert "Traceback" not in r.stderr
 
 
-# -- the CLI boundary under drawn configs and flags ---------------------------
+# -- levels the suites read in a level bin -------------------------------------
 
-FUZZ_CONFIG = {
+TINY_VERIFY = {
     "mechanism": {"alpha": 0.5, "beta": 1.0},
     "sim": {"dt": 0.01, "horizon": 4.0, "seed": 3},
     "harness": {
@@ -438,6 +475,54 @@ FUZZ_CONFIG = {
         "exponent_check": {"paths": 4, "dt": 0.1, "t": 0.5},
     },
 }
+
+
+@pytest.mark.parametrize("suite,edit,field", [
+    ("ray-knight", {"level_width": 0.3}, "harness.level_width"),
+    ("theorem1", {"residual_levels": [0.3, 0.5]}, "harness.residual_levels"),
+    ("tanaka", {"residual_levels": [0.3, 0.5]}, "harness.residual_levels"),
+    ("noise", {"noise": {"paths": 4, "dt": 0.01, "horizon": 2.0, "level_width": 0.3}},
+     "harness.noise.a"),
+    ("poisson-marks", {"poisson": {"paths": 4, "x": 1.0, "dt": 0.01, "horizon": 4.0,
+                                   "level_width": 0.3}}, "harness.boxes[0].a"),
+])
+def test_level_off_the_bin_edges_exits_2(tmp_path, suite, edit, field):
+    # 0.25, 0.5 and the noise level 1.0 are no whole number of 0.3-wide bins, and
+    # 0.5 none of the 0.15-wide bins of the ladder's coarsest rung
+    obj = json.loads(json.dumps(TINY_VERIFY))
+    obj["harness"].update(edit)
+    if suite == "poisson-marks":
+        obj["mechanism"]["jumps"] = {"atoms": [{"z": 1.0, "w": 1.0}]}
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = run_cli("verify", suite, "--config", cfg, "--out", str(tmp_path / "v"))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert field in r.stderr and "not an edge" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # means of no kept path
+def test_report_of_all_discarded_paths_is_strict_json(tmp_path):
+    from levyforest.cli import main
+
+    # no path reaches -x = -1 within a horizon of 0.05
+    obj = json.loads(json.dumps(TINY_VERIFY))
+    obj["sim"]["horizon"] = 0.05
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "v"
+    assert main(["verify", "ray-knight", "--config", cfg, "--out", str(out)]) == 4
+    report = json.loads((out / "verify_ray-knight.json").read_text(),
+                        parse_constant=_no_constant)["reports"][0]
+    assert report["discarded"] == report["M"]
+    means = [c for c in report["cells"] if c["name"] == "mean_height_vs_oracle"]
+    assert means and all(c["stat"] is None and c["tol"] is None for c in means)
+
+
+# -- the CLI boundary under drawn configs and flags ---------------------------
+
 FUZZ_FIELDS = [
     ("mechanism", "alpha"), ("mechanism", "beta"), ("mechanism", "jumps"),
     ("sim", "dt"), ("sim", "horizon"), ("sim", "seed"), ("sim", "truncation_delta"),
@@ -469,7 +554,7 @@ FIELD_WORDS = ("sim.", "harness", "mechanism", "config", "alpha", "beta", "atom"
 def _fuzz_run(tmp_path, capsys, command, edits, flags):
     from levyforest.cli import main
 
-    obj = json.loads(json.dumps(FUZZ_CONFIG))
+    obj = json.loads(json.dumps(TINY_VERIFY))
     for fld, val in edits:
         block = obj
         for key in fld[:-1]:
@@ -477,11 +562,15 @@ def _fuzz_run(tmp_path, capsys, command, edits, flags):
         block[fld[-1]] = val
     cfg = tmp_path / "fuzz.json"
     cfg.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
     capsys.readouterr()
-    code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o"),
-                           "--jobs", "1"] + flags)
+    code = main(command + ["--config", str(cfg), "--out", str(out), "--jobs", "1"] + flags)
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), (code, err)
+    if code in (0, 4):
+        for written in out.glob("*.json"):
+            json.loads(written.read_text(), parse_constant=_no_constant)
     if code in (2, 3):
         message = err.strip().splitlines()[-1]
         assert message.startswith(("configuration error: ", "precondition violated: "))
@@ -501,6 +590,8 @@ def _fuzz_run(tmp_path, capsys, command, edits, flags):
                       max_size=2).map(lambda fs: [a for f in fs for a in f]))
 @example(command=["verify", "ray-knight"], edits=[], flags=["--paths", "0"])
 @example(command=["verify", "ray-knight"], edits=[], flags=["--dt", "0.7"])
+@example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "alpha"), float("inf"))])
+@example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "beta"), float("inf"))])
 @example(command=["verify", "poisson-marks"], flags=[], edits=[
     (("mechanism", "jumps"), BOUNDED_POWER_LAW["jumps"]), (("sim", "truncation_delta"), 0.05),
     (("harness", "boxes"), [{"a": [0.0, 0.5], "z": [0.0, 0.5], "u": [0.0, 0.5]}])])

@@ -7,12 +7,10 @@ from levyforest import BranchingMechanism, JumpMeasure
 from levyforest.exploration import scan_height
 from levyforest.local_time import (
     aligned_level_width,
-    bin_of,
     default_level_width,
     jump_erosion_residual,
     level_bins,
     occupation_below,
-    occupation_local_time,
     occupation_profile,
     profile_at_hitting,
     running_local_time,
@@ -27,10 +25,10 @@ JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5),)))
 def test_constant_trajectory_fills_one_bin():
     times = np.arange(11) * 0.1
     heights = np.full(11, 0.33)
-    field = occupation_local_time(times, heights, np.arange(0.0, 1.05, 0.1))
+    prof = occupation_profile(times, heights, 0.1, 10)
     # H = 0.33 sits in (0.3, 0.4]; total time 1.0 over width 0.1
-    assert field.values[-1, 3] == pytest.approx(10.0)
-    assert np.all(field.values[-1, [j for j in range(10) if j != 3]] == 0.0)
+    assert prof[3] == pytest.approx(10.0)
+    assert np.all(prof[[j for j in range(10) if j != 3]] == 0.0)
 
 
 def test_occupation_identity_is_exact():
@@ -39,28 +37,15 @@ def test_occupation_identity_is_exact():
     sc = scan_height(nodes, p.beta_eff)
     width = 0.05
     nb = int(np.ceil(sc.height.max() / width)) + 2
-    edges = np.arange(nb + 1) * width
-    field = occupation_local_time(nodes.times, sc.height, edges)
+    prof = occupation_profile(nodes.times, sc.height, width, nb)
     rng = np.random.default_rng(0)
     f = rng.random(nb)
-    lhs = float((field.values[-1] * width * f).sum())
-    bins = bin_of(sc.height, width)
+    lhs = float((prof * width * f).sum())
+    bins = np.ceil(sc.height / width).astype(np.int64) - 1     # -1 for H = 0
     w = np.append(np.diff(nodes.times), 0.0)
     ok = bins >= 0
     rhs = float((w[ok] * f[bins[ok]]).sum())
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_field_monotone_in_time_and_level_lookup():
-    p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=1.0, seed=2), path_index=0)
-    nodes = build_nodes(p)
-    sc = scan_height(nodes, p.beta_eff)
-    field = occupation_local_time(nodes.times, sc.height, np.arange(0.0, 3.0, 0.05))
-    assert (np.diff(field.values, axis=0) >= -1e-15).all()
-    j = field.level_index(0.25)
-    assert field.level_edges[j] == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        field.level_index(0.263)
 
 
 def test_vertices_at_zero_height_belong_to_no_bin():
@@ -68,22 +53,7 @@ def test_vertices_at_zero_height_belong_to_no_bin():
     heights = np.array([0.0, 0.2, 0.0, 0.2, 0.0])
     prof = occupation_profile(times, heights, 0.1, 5)
     assert prof.sum() * 0.1 == pytest.approx(2.0)      # only the H=0.2 pieces
-    assert bin_of(np.array([0.0]), 0.1)[0] == -1
-
-
-def test_running_local_time_is_exclusive_and_matches_field():
-    p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=1.0, seed=4), path_index=1)
-    nodes = build_nodes(p)
-    sc = scan_height(nodes, p.beta_eff)
-    width = 0.05
-    run = running_local_time(nodes.times, sc.height, width)
-    edges = np.arange(0.0, sc.height.max() + 3 * width, width)
-    field = occupation_local_time(nodes.times, sc.height, edges)
-    for i in (10, 250, 700, 999):
-        b = bin_of(np.array([sc.height[i]]), width)[0]
-        if b >= 0:
-            assert run[i] == pytest.approx(field.values[i, b], abs=1e-12)
-    assert run[0] == 0.0
+    assert level_bins(times, heights, 0.1).key[0] == 0
 
 
 # -- local-time kernels against per-vertex loops -----------------------------------
@@ -259,13 +229,6 @@ def test_tanaka_agrees_with_occupation_on_average():
     assert abs(diffs.mean()) <= 3 * se + 0.05
 
 
-def test_occupation_field_t_max_clips_weights():
-    times = np.arange(5) * 1.0
-    heights = np.full(5, 0.15)
-    field = occupation_local_time(times, heights, np.arange(0.0, 0.55, 0.1), t_max=2.5)
-    assert field.values[-1, 1] == pytest.approx(2.5 / 0.1)
-
-
 def test_tanaka_local_time_at_windows():
     from levyforest.local_time import tanaka_local_time_at
     p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=15), path_index=2)
@@ -335,15 +298,3 @@ def test_aligned_level_width():
     assert w == pytest.approx(0.0625)
     for a in (0.25, 0.5, 1.0):
         assert abs(a / w - round(a / w)) < 1e-9
-
-
-def test_field_csv_long_format():
-    import io
-    times = np.arange(3) * 0.5
-    heights = np.array([0.1, 0.1, 0.3])
-    field = occupation_local_time(times, heights, np.arange(0.0, 0.55, 0.1))
-    buf = io.StringIO()
-    field.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "time,level,local_time"
-    assert len(lines) == 1 + 3 * 5
