@@ -10,9 +10,10 @@ One level_bins pass per trajectory feeds both binned estimators: the final
 profile (occupation_profile) and the predictable running value L_s(H_s) at
 every vertex (running_local_time).
 
-The default bin width couples to the grid step as max(dt^(1/3),
-4/beta*sqrt(dt)), balancing occupation variance against level-resolution
-bias; it is an engineering choice, overridable everywhere.
+The default bin width of `simulate height` couples to the grid step as
+max(dt^(1/3), 4/beta*sqrt(dt)), balancing occupation variance against
+level-resolution bias; it is an engineering choice.  The suites do not read
+it: they take their widths from level_width or from the dt ladder.
 
 Tanaka-style pathwise evaluations of the same local time are provided for
 cross-checking: the "plus" variant
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exploration import HeightScan, scan_height
-from .paths import (LevyPath, build_nodes, grid_step, node_prefix, node_weights,
-                    truncate_at_level)
+from .exploration import HeightScan
+from .paths import node_weights
 
 __all__ = [
     "default_level_width",
@@ -48,11 +48,7 @@ __all__ = [
     "level_bins",
     "occupation_profile",
     "running_local_time",
-    "occupation_below",
-    "profile_at_hitting",
     "tanaka_local_time",
-    "tanaka_local_time_at",
-    "jump_erosion_residual",
 ]
 
 
@@ -167,32 +163,6 @@ def running_local_time(times: np.ndarray, heights: np.ndarray, width: float,
     return out
 
 
-def occupation_below(times: np.ndarray, heights: np.ndarray, a: float) -> float:
-    """Time the trajectory spends with H <= a."""
-    w = node_weights(np.asarray(times, dtype=float))
-    return float(w[np.asarray(heights) <= a].sum())
-
-
-def profile_at_hitting(path: LevyPath, x: float, width: float | None = None,
-                       n_bins: int | None = None):
-    """Level profile a -> L_{T_x}(a-bin) of a path stopped at -x.
-
-    Returns (width, profile, tau) or None when the horizon is exhausted
-    before the passage (the caller counts such paths as discarded).
-    """
-    cut = truncate_at_level(build_nodes(path), x)
-    if cut is None:
-        return None
-    nodes, tau = cut
-    if width is None:
-        width = default_level_width(path.dt, path.beta_eff)
-    scan = scan_height(nodes, path.beta_eff)
-    if n_bins is None:
-        n_bins = max(1, int(np.ceil(scan.height.max() / width)) + 1)
-    prof = occupation_profile(nodes.times, scan.height, width, n_bins)
-    return width, prof, tau
-
-
 # ---------------------------------------------------------------------------
 # Tanaka-style pathwise local time
 # ---------------------------------------------------------------------------
@@ -232,38 +202,3 @@ def tanaka_local_time(scan: HeightScan, a: float, variant: str = "plus") -> floa
         erosion = float(fe[hj <= a].sum()) if len(hj) else 0.0
         return -beta * min(h_t, a) + integral + jump_piece - i0 - erosion
     raise ValueError("variant must be 'plus' or 'minus'")
-
-
-def tanaka_local_time_at(path: LevyPath, a: float, t: float | None = None,
-                         variant: str = "plus") -> float:
-    """Convenience wrapper: evaluate the pathwise local time of a path at
-    level a over [0, t] (t a grid time; the whole horizon by default)."""
-    nodes = build_nodes(path)
-    if t is not None:
-        nodes = node_prefix(nodes, int(nodes.grid_index[grid_step(path, t)]) + 1)
-    return tanaka_local_time(scan_height(nodes, path.beta_eff), a, variant)
-
-
-def jump_erosion_residual(scan: HeightScan, width: float) -> float:
-    """Convergence diagnostic for the erosion/local-time exchange.
-
-    For every live atom the drop of the path infimum since the jump should
-    match the local time its height level accrued over the same window:
-    inf_{[t_i,t]} xi - xi_{t_i}  =  L_{t_i}(H_{t_i}) - L_t(H_{t_i}).
-    Returns the worst absolute mismatch of the two estimates (0 with no
-    live atoms).
-    """
-    live = scan.final_erosion > 0.0
-    if not live.any():
-        return 0.0
-    nodes = scan.nodes
-    posts = nodes.jump_post[live]
-    sizes = nodes.jump_sizes[live]
-    lhs = scan.final_erosion[live] - sizes          # = inf - xi_{t_i} <= 0
-    lb = level_bins(nodes.times, scan.height, width)
-    bins = lb.key[posts].astype(np.int64) - 1       # -1 for an atom at H = 0
-    n_bins = max(int(bins.max()) + 1, 1)
-    prof = occupation_profile(nodes.times, scan.height, width, n_bins, binned=lb)
-    run = running_local_time(nodes.times, scan.height, width, binned=lb)
-    rhs = np.where(bins >= 0, run[posts] - prof[np.maximum(bins, 0)], 0.0)
-    return float(np.max(np.abs(lhs - rhs)))

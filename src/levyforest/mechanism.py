@@ -241,8 +241,11 @@ class BranchingMechanism:
         """
         if lam < 0.0:
             raise ValueError("exponent requires lam >= 0")
-        out = (self.alpha * lam + self.beta * lam * lam
-               + self.jumps.compensated_integral_above(delta, lam))
+        try:
+            out = (self.alpha * lam + self.beta * lam * lam
+                   + self.jumps.compensated_integral_above(delta, lam))
+        except OverflowError:           # lam ** sigma of a power law past the float range
+            return math.inf
         if gaussian_correction:
             out += 0.5 * self.jumps.moment(2, 0.0, delta) * lam * lam
         return out
@@ -254,7 +257,8 @@ class BranchingMechanism:
 
         The solution decreases monotonically and stays in [0, lam]; adaptive
         steps keep the local error near machine precision so that the flow
-        identity v_{t+s} = v_t(v_s) holds to ~1e-10.
+        identity v_{t+s} = v_t(v_s) holds to ~1e-10.  ValueError when
+        psi(lam) is not a finite float.
         """
         if t < 0.0:
             raise ValueError("v requires t >= 0")
@@ -308,8 +312,12 @@ _RK_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 def _integrate_flow(psi_fn, t_end: float, v0: float, rtol: float, atol: float) -> float:
     t = 0.0
     y = float(v0)
-    h = min(t_end, 0.1 / (1.0 + psi_fn(v0) / max(v0, 1e-300)))
-    h_min = t_end * 1e-14
+    psi0 = psi_fn(v0)
+    if not math.isfinite(psi0):
+        raise ValueError(f"psi({v0}) is not finite")
+    h = min(t_end, 0.1 / (1.0 + psi0 / max(v0, 1e-300)))
+    # a floor above the first step (large v0) would force overshoots below 0
+    h_min = min(t_end * 1e-14, h * 1e-2)
     k = [0.0] * 6
     while t < t_end:
         h = min(h, t_end - t)

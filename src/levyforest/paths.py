@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,6 +83,10 @@ class SimConfig:
         if self.small_jump_mode not in _SMALL_JUMP_MODES:
             raise ConfigurationError(
                 f"sim.small_jump_mode must be one of {_SMALL_JUMP_MODES}")
+        # path_stream keys on 64 bits: a seed outside them would alias another
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= self.seed < 2 ** 64):
+            raise ConfigurationError("sim.seed must be an integer in [0, 2^64)")
 
     @property
     def n_cells(self) -> int:
@@ -109,10 +114,9 @@ def simulated_law(mech: BranchingMechanism, cfg: SimConfig):
 def sim_config_from_config(obj: dict) -> SimConfig:
     if not isinstance(obj, dict):
         raise ConfigurationError("sim: expected a JSON object")
-    kwargs = {}
+    kwargs = {"seed": obj["seed"]} if "seed" in obj else {}     # SimConfig checks it
     for name, caster in (("dt", float), ("horizon", float),
-                         ("truncation_delta", float),
-                         ("small_jump_mode", str), ("seed", int)):
+                         ("truncation_delta", float), ("small_jump_mode", str)):
         if name in obj:
             try:
                 kwargs[name] = caster(obj[name])
@@ -195,18 +199,6 @@ class LevyPath:
 
     def grid_times(self) -> np.ndarray:
         return np.arange(self.n_cells + 1) * self.dt
-
-    def cont_increments(self) -> np.ndarray:
-        """Per-cell drift + Gaussian increment (jumps excluded)."""
-        return self.applied_drift * self.dt + self.gaussian_coeff * self.brownian_increments
-
-    def reconstruction_residual(self) -> float:
-        """Max |values - cumsum(stored components)|; should sit at fp noise."""
-        cell_jump = np.zeros(self.n_cells)
-        if len(self.jumps):
-            np.add.at(cell_jump, self.jumps.cells, self.jumps.sizes)
-        rebuilt = np.concatenate(([0.0], np.cumsum(self.cont_increments() + cell_jump)))
-        return float(np.max(np.abs(rebuilt - self.values)))
 
 
 # ---------------------------------------------------------------------------

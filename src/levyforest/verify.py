@@ -79,7 +79,6 @@ __all__ = [
     "indicator_box",
     "MarkBox",
     "ray_knight_report",
-    "theorem1_residual",
     "theorem1_report",
     "tanaka_report",
     "white_noise_report",
@@ -519,6 +518,9 @@ def ray_knight_report(mech, cfg, harness, oracle, *, pool):
         if abs(a / cfg.dt - round(a / cfg.dt)) > 1e-9:
             raise ConfigurationError(
                 f"sim.dt: ray-knight level {a} is not a whole number of steps of {cfg.dt}")
+    for lam in harness["lambdas"]:       # the exact cells' flow needs a finite psi
+        if not math.isfinite(oracle.psi(lam)):
+            raise ConfigurationError(f"harness.lambdas: psi({lam}) overflows")
     try:
         width = harness["level_width"] or aligned_level_width(
             0.8 * cfg.dt ** (1.0 / 3.0), levels)
@@ -544,7 +546,7 @@ def ray_knight_report(mech, cfg, harness, oracle, *, pool):
             _mean_cell("mean_height_vs_oracle", {"a": a}, P[:, k], mean_oracle, budget),
             _mean_cell("mean_cb_vs_oracle", {"a": a}, cb[a], mean_oracle, budget)]
         for lam in harness["lambdas"]:
-            exact = math.exp(-x * oracle.v(a, lam))
+            exact = oracle.cb_laplace(x, a, lam)
             budget = harness["laplace_budget"] * exact
             params = {"a": a, "lam": lam}
             height = _mean_cell("laplace_height_vs_exact", params,
@@ -592,17 +594,6 @@ def _residual_and_profile(path: LevyPath, x: float, levels, bins, width: float):
     prof = _level_profile(nodes, sc.height, width, bins)
     d = np.diff(nodes.values)
     return np.array([pa - x - d[sc.height[:-1] <= a].sum() for a, pa in zip(levels, prof)]), prof
-
-
-def theorem1_residual(path: LevyPath, x: float, levels,
-                      width: float | None = None) -> np.ndarray | None:
-    """Per-level residual of the stopped-path representation for one path,
-    or None when the path never reaches -x."""
-    if width is None:
-        width = aligned_level_width(0.8 * path.dt ** (1.0 / 3.0), levels)
-    bins = [_level_bin(a, width, "levels") for a in levels]
-    out = _residual_and_profile(path, x, levels, bins, width)
-    return None if out is None else out[0]
 
 
 def _theorem1_row(spec, i: int) -> tuple:

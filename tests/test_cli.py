@@ -4,7 +4,9 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -460,6 +462,68 @@ def test_ray_knight_level_off_the_grid_exits_2(tmp_path, suite, how):
     assert "Traceback" not in r.stderr
 
 
+def test_ray_knight_lambda_past_the_float_range_exits_2(tmp_path):
+    # psi(1e160) overflows; the timeout turns a flow integration that never
+    # ends into a failure
+    obj = json.loads(json.dumps(SMALL_VERIFY))
+    obj["harness"]["lambdas"] = [1e160]
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = subprocess.run(CLI + ["verify", "ray-knight", "--config", cfg,
+                              "--out", str(tmp_path / "v")],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "harness.lambdas" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "v" / "verify_ray-knight.json").exists()
+
+
+@pytest.mark.parametrize("seed,how,code", [
+    (1.5, "config", 2), (True, "config", 2), (-1, "config", 2), (2 ** 64, "config", 2),
+    (7.0, "config", 2), ("7", "config", 2), (-1, "flag", 2), (2 ** 64, "flag", 2),
+    (0, "config", 0), (2 ** 64 - 1, "config", 0)])
+def test_seed_must_be_a_64_bit_integer(tmp_path, capsys, seed, how, code):
+    # path_stream keys on 64 bits: the loader used to truncate 1.5 and true
+    # to 1, and the stream to wrap -1 and 2^64 onto other seeds
+    from levyforest.cli import main
+
+    sim = {"dt": 1e-2, "horizon": 1.0}
+    flags = ["--seed", str(seed)] if how == "flag" else []
+    if how == "config":
+        sim["seed"] = seed
+    cfg = write_cfg(tmp_path, "c.json", {"sim": sim})
+    out = tmp_path / "o"
+    assert main(["simulate", "levy", "--config", cfg, "--out", str(out)] + flags) == code
+    if code == 2:
+        assert "sim.seed" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads((out / "path.config.json").read_text())["sim"]["seed"] == seed
+
+
+def test_readme_config_runs_and_its_height_engines_agree(tmp_path):
+    from levyforest.config import run_config_from_dict
+    from levyforest.exploration import direct_height, scan_height
+    from levyforest.paths import build_nodes, sample_path
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("### Config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = write_cfg(tmp_path, "readme.json", json.loads(block))
+    r = run_cli("simulate", "levy", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
+    # atoms plus a power law without z_max, under both small-jump modes
+    run = run_config_from_dict(json.loads(block))
+    assert run.mechanism.jumps.atoms and run.mechanism.jumps.power_law.z_max is None
+    for mode in ("gaussian_correction", "drop_compensated"):
+        sim = replace(run.sim, horizon=4.0, small_jump_mode=mode)
+        path = sample_path(run.mechanism, sim)
+        nodes = build_nodes(path)
+        assert len(nodes.jump_post) > 100
+        sweep, direct = scan_height(nodes, path.beta_eff), direct_height(nodes, path.beta_eff)
+        assert np.max(np.abs(sweep.height - direct.height)) <= 1e-9
+        assert np.max(np.abs(sweep.final_erosion - direct.final_erosion)) <= 1e-9
+
+
 # -- levels the suites read in a level bin -------------------------------------
 
 TINY_VERIFY = {
@@ -590,6 +654,7 @@ def _fuzz_run(tmp_path, capsys, command, edits, flags):
                       max_size=2).map(lambda fs: [a for f in fs for a in f]))
 @example(command=["verify", "ray-knight"], edits=[], flags=["--paths", "0"])
 @example(command=["verify", "ray-knight"], edits=[], flags=["--dt", "0.7"])
+@example(command=["verify", "ray-knight"], edits=[(("harness", "lambdas"), [1e160])], flags=[])
 @example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "alpha"), float("inf"))])
 @example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "beta"), float("inf"))])
 @example(command=["verify", "poisson-marks"], flags=[], edits=[

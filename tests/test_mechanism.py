@@ -143,6 +143,26 @@ def test_v_monotone_and_bounded():
         prev = cur
 
 
+@pytest.mark.parametrize("lam", [1e15, 1e20, 1e80])
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+def test_v_matches_the_closed_form_at_large_lam(t, lam):
+    # Feller alpha=0.5, beta=1: v_t(lam) = a lam e / (a + b lam (1 - e)),
+    # e = exp(-a t); the first step is far below t * 1e-14 here
+    a, b = 0.5, 1.0
+    e = math.exp(-a * t)
+    assert BranchingMechanism(a, b).v(t, lam) == pytest.approx(
+        a * lam * e / (a + b * lam * (1.0 - e)), rel=1e-9)
+
+
+@pytest.mark.parametrize("mech,lam", [(BranchingMechanism(0.5, 1.0), 1e160),
+                                      (STABLE, 1e300)])
+def test_v_rejects_a_lam_whose_psi_overflows(mech, lam):
+    # beta lam^2 overflows to inf; lam ** sigma raises OverflowError
+    assert mech.psi(lam) == math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        mech.v(1.0, lam)
+
+
 def test_flow_property():
     for mech in (FELLER, MIXED, STABLE):
         for (t, s, lam) in ((0.3, 0.7, 1.0), (1.0, 1.0, 2.5), (0.1, 2.0, 0.4)):

@@ -257,18 +257,17 @@ def test_noise_suite_works_on_jump_mechanisms():
 
 def test_theorem1_residual_per_path():
     from levyforest.paths import sample_path
-    from levyforest.verify import theorem1_residual
-    import numpy as np
+    from levyforest.verify import _residual_and_profile
 
     # full-range level: the integral telescopes to -x, residual ~ profile above
     # the maximal height, i.e. ~0; level 0 residual ~ profile(0-bin) - x
     p = sample_path(FELLER, SimConfig(dt=2.5e-4, horizon=30.0, seed=41),
                     stop_level=1.0)
-    res = theorem1_residual(p, 1.0, [0.25, 50.0], width=0.05)
-    assert res is not None and abs(res[1]) <= 1e-9
-    assert abs(res[0]) < 1.0
+    out = _residual_and_profile(p, 1.0, [0.25, 50.0], [5, 1000], 0.05)
+    assert out is not None and abs(out[0][1]) <= 1e-9
+    assert abs(out[0][0]) < 1.0
     short = sample_path(FELLER, SimConfig(dt=1e-3, horizon=0.01, seed=41))
-    assert theorem1_residual(short, 50.0, [0.25]) is None
+    assert _residual_and_profile(short, 50.0, [0.25], [5], 0.05) is None
 
 
 def test_run_all_calls_every_traced_layer(monkeypatch):
