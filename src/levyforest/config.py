@@ -142,7 +142,7 @@ def _path_count(val, name: str) -> int:
 
 def _validate_sizes(block: str, sub: dict) -> None:
     """Path counts, steps, horizons and other positive numbers of one
-    per-suite block."""
+    per-suite block; a block's t is a whole number of its dt steps."""
     for key in ("dt", "horizon", "t") + _POSITIVE.get(block, ()):
         if key in sub:
             sub[key] = _number(sub[key], f"harness.{block}.{key}")
@@ -152,6 +152,9 @@ def _validate_sizes(block: str, sub: dict) -> None:
     if "dt" in sub and end in sub and not sub[end] > sub["dt"]:
         raise ConfigurationError(
             f"harness.{block}.{end}: must exceed harness.{block}.dt")
+    if ("dt" in sub and "t" in sub
+            and abs(math.remainder(sub["t"], sub["dt"])) > 1e-9 * sub["dt"]):
+        raise ConfigurationError(f"harness.{block}.t: must be a whole number of dt steps")
 
 
 def _validate_dts(out: dict) -> None:

@@ -205,11 +205,6 @@ class LevyPath:
 # node sequences: grid points plus pre/post jump points, in time order
 # ---------------------------------------------------------------------------
 
-_KIND_GRID = 0
-_KIND_PRE = 1
-_KIND_POST = 2
-
-
 @dataclass(frozen=True)
 class Nodes:
     """Piecewise-linear view of a path: every vertex the path passes through.
@@ -222,7 +217,6 @@ class Nodes:
 
     times: np.ndarray
     values: np.ndarray
-    kinds: np.ndarray          # uint8, _KIND_*
     jump_post: np.ndarray      # node index of each jump's post vertex
     jump_sizes: np.ndarray
     grid_index: np.ndarray     # node indices of the grid vertices
@@ -232,7 +226,9 @@ class Nodes:
 
     def piece_is_jump(self) -> np.ndarray:
         """Boolean per piece (node i -> i+1): True for the pre -> post rise."""
-        return (self.kinds[:-1] == _KIND_PRE) & (self.kinds[1:] == _KIND_POST)
+        is_jump = np.zeros(len(self.times) - 1, dtype=bool)
+        is_jump[self.jump_post - 1] = True
+        return is_jump
 
 
 def node_weights(times: np.ndarray) -> np.ndarray:
@@ -252,10 +248,8 @@ def build_nodes(path: LevyPath) -> Nodes:
     n = path.n_cells
     grid_t = path.grid_times()
     if not len(path.jumps):
-        kinds = np.zeros(n + 1, dtype=np.uint8)
         idx = np.arange(n + 1)
-        return Nodes(grid_t, path.values, kinds,
-                     np.empty(0, dtype=np.int64), _EMPTY, idx)
+        return Nodes(grid_t, path.values, np.empty(0, dtype=np.int64), _EMPTY, idx)
 
     j = path.jumps
     m = len(j)
@@ -268,23 +262,19 @@ def build_nodes(path: LevyPath) -> Nodes:
     size = n + 1 + 2 * m
     times = np.empty(size)
     values = np.empty(size)
-    kinds = np.empty(size, dtype=np.uint8)
     times[grid] = grid_t
     values[grid] = path.values
-    kinds[grid] = _KIND_GRID
     times[pre] = j.times
     times[post] = j.times
     values[pre] = j.pre_values
     values[post] = j.pre_values + j.sizes
-    kinds[pre] = _KIND_PRE
-    kinds[post] = _KIND_POST
-    return Nodes(times, values, kinds, post, j.sizes.copy(), grid)
+    return Nodes(times, values, post, j.sizes.copy(), grid)
 
 
 def node_prefix(nodes: Nodes, stop: int) -> Nodes:
     """The first stop nodes, with the jumps and grid vertices among them."""
     n_jumps = int(np.searchsorted(nodes.jump_post, stop))
-    return Nodes(nodes.times[:stop], nodes.values[:stop], nodes.kinds[:stop],
+    return Nodes(nodes.times[:stop], nodes.values[:stop],
                  nodes.jump_post[:n_jumps], nodes.jump_sizes[:n_jumps],
                  nodes.grid_index[:int(np.searchsorted(nodes.grid_index, stop))])
 
@@ -313,8 +303,7 @@ def truncate_at_level(nodes: Nodes, x: float) -> tuple[Nodes, float] | None:
         tau = float(t0 + (t1 - t0) * (v0 + x) / (v0 - v1))
     head = node_prefix(nodes, i)
     out = replace(head, times=np.concatenate((head.times, [tau])),
-                  values=np.concatenate((head.values, [-x])),
-                  kinds=np.concatenate((head.kinds, [np.uint8(_KIND_GRID)])))
+                  values=np.concatenate((head.values, [-x])))
     return out, tau
 
 

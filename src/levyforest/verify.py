@@ -13,11 +13,11 @@ build_nodes, the optional cut at its first passage below -x and scan_height;
 _level_profile reads its local-time profile at the requested levels.  One
 cell builder, _mean_cell, turns a sample array into a mean-vs-oracle cell
 (mean, standard error std(ddof=1)/sqrt(n), tolerance), and _discards counts
-the paths that miss -x.  Every report function is entered through _suite: it
-checks the suite's preconditions, fills the harness in from DEFAULT_HARNESS
-(the only copy of the defaults), sets the oracle (the mechanism, its drift
-shifted by oracle_alpha_offset), runs the suite on a PathPool and appends the
-path-exponent cells.  SUITES is the one name -> report table.
+the paths that miss -x.  Every suite body is a generator that writes rows =
+yield fn, spec, m where it needs per-path rows and returns its report; _suite
+makes it a report function whose plan runs every check of the suite (with the
+harness filled in from DEFAULT_HARNESS, the only copy of the defaults) before
+any path is drawn.  SUITES is the one name -> report table.
 
 Per-path work lives in module-level functions, fn(spec, i) -> tuple of
 statistics of path i, which a PathPool runs either in this process over
@@ -39,6 +39,7 @@ oracle drift, which is what the negative-control mode perturbs.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import json
@@ -344,21 +345,18 @@ _REQUIREMENTS = {
 
 
 def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
-    """Make suite(mech, cfg, harness, oracle, *, pool) -> report into the
-    report function (mech, cfg, harness, oracle=None, *, jobs=1, pool=None).
-
-    requires maps names in _REQUIREMENTS to the PreconditionError message of
-    the suite, checked in the order given; fixed_mech is the mechanism of a
-    suite that ignores the caller's.  The harness is filled in from
-    DEFAULT_HARNESS, oracle defaults to the mechanism with its drift shifted
-    by harness.oracle_alpha_offset, and the suite runs on pool, or on its own
-    pool of jobs workers closed when it returns.
+    """Make the suite body, a generator suite(mech, cfg, harness, oracle)
+    that yields path jobs (fn, spec, m) and is sent pool.map(fn, spec, m)
+    for each, into the report function (mech, cfg, harness, oracle=None, *,
+    jobs=1, pool=None), which runs the jobs on pool, or on its own pool of
+    jobs workers, and appends the path-exponent cells.  Its plan(mech, cfg,
+    harness, oracle=None) draws no path: it checks the preconditions in the
+    order given (requires maps names in _REQUIREMENTS to messages; fixed_mech
+    replaces the caller's mechanism), fills the harness in, shifts the
+    oracle's drift, runs the body to its first job and plans the exponent.
     """
     def wrap(suite):
-        @functools.wraps(suite)
-        def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                oracle: BranchingMechanism | None = None, *, jobs: int = 1,
-                pool: PathPool | None = None) -> MonteCarloReport:
+        def plan(mech, cfg, harness, oracle=None) -> tuple:
             mech = fixed_mech or mech
             for need, message in requires.items():
                 if not _REQUIREMENTS[need](mech):
@@ -367,20 +365,26 @@ def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
             if oracle is None:
                 offset = h["oracle_alpha_offset"]
                 oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
+            steps = suite(mech, cfg, h, oracle)
+            job = next(steps)                       # the body's checks run here
+            echo = {"mechanism": mechanism_to_config(mech), "sim": sim_config_to_config(cfg),
+                    "oracle_mechanism": mechanism_to_config(oracle)}
+            return steps, job, echo, _exponent_plan(mech, oracle, cfg, h["exponent_check"])
 
-            def on(pool: PathPool) -> MonteCarloReport:
-                report = suite(mech, cfg, h, oracle, pool=pool)
-                report.config_echo.update(mechanism=mechanism_to_config(mech),
-                                          sim=sim_config_to_config(cfg),
-                                          oracle_mechanism=mechanism_to_config(oracle))
-                report.cells.extend(_exponent_cells(mech, oracle, cfg,
-                                                    h["exponent_check"], pool))
-                return report
-
-            if pool is not None:
-                return on(pool)
-            with PathPool(jobs) as own:
-                return on(own)
+        @functools.wraps(suite)
+        def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
+                oracle: BranchingMechanism | None = None, *, jobs: int = 1,
+                pool: PathPool | None = None) -> MonteCarloReport:
+            steps, job, echo, exponent = plan(mech, cfg, harness, oracle)
+            with contextlib.nullcontext(pool) if pool else PathPool(jobs) as pool:
+                try:
+                    while True:
+                        job = steps.send(pool.map(*job))
+                except StopIteration as done:
+                    done.value.config_echo.update(echo)
+                    done.value.cells.extend(_exponent_cells(*exponent, pool))
+                    return done.value
+        run.plan = plan
         return run
     return wrap
 
@@ -391,21 +395,31 @@ def _exponent_row(spec, i: int) -> tuple:
     return (sample_path(mech, cfg, path_index=_NS_EXPONENT + i).values[k],)
 
 
-def _exponent_cells(mech: BranchingMechanism, oracle: BranchingMechanism,
-                    cfg: SimConfig, spec: dict, pool: PathPool) -> list[CheckCell]:
+def _exponent_plan(mech: BranchingMechanism, oracle: BranchingMechanism,
+                   cfg: SimConfig, spec: dict) -> tuple:
+    """The pool key (mechanism, sim config, step k of t, paths) of the
+    path-exponent paths and each cell's params and target exp(t * psi(lam))
+    of the oracle; a ConfigurationError when a target is not a finite float."""
     m, t, dt = spec["paths"], spec["t"], spec["dt"]
     key = (mech, replace(cfg, dt=dt, horizon=t + dt), int(round(t / dt)), m)
-    if key not in pool.exponent_values:             # once per pool, not per suite
-        pool.exponent_values[key], = pool.map(_exponent_row, key[:3], m)
-    vals = pool.exponent_values[key]
     # the oracle adds the small-jump variance when the simulated law carries it
     corr = simulated_law(mech, cfg)[3] > 2.0 * mech.beta
-    cells = []
+    targets = []
     for lam in spec["lambdas"]:
-        target = math.exp(t * oracle.truncated_exponent(lam, cfg.truncation_delta, corr))
-        cells.append(_mean_cell("path_exponent", {"t": t, "lam": lam},
-                                np.exp(-lam * vals), target, 0.01 * target))
-    return cells
+        exponent = t * oracle.truncated_exponent(lam, cfg.truncation_delta, corr)
+        if not exponent <= math.log(np.finfo(float).max):   # also false for NaN
+            raise ConfigurationError(f"harness.exponent_check.lambdas: exp(t * psi({lam})) "
+                                     f"at t = {t} is not a finite float")
+        targets.append(({"t": t, "lam": lam}, math.exp(exponent)))
+    return key, targets
+
+
+def _exponent_cells(key: tuple, targets: list, pool: PathPool) -> list[CheckCell]:
+    if key not in pool.exponent_values:             # once per pool, not per suite
+        pool.exponent_values[key], = pool.map(_exponent_row, key[:3], key[3])
+    vals = pool.exponent_values[key]
+    return [_mean_cell("path_exponent", params, np.exp(-params["lam"] * vals), target,
+                       0.01 * target) for params, target in targets]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +522,7 @@ def _ray_knight_row(spec, i: int) -> tuple:
 
 @_suite(beta="ray-knight suite requires beta > 0",
         grey="ray-knight suite requires Grey's condition")
-def ray_knight_report(mech, cfg, harness, oracle, *, pool):
+def ray_knight_report(mech, cfg, harness, oracle):
     """Three-way comparison at each (level, lam): the Laplace transform of the
     stopped path's local-time profile, the empirical branching simulation, and
     the exact transition law exp(-x * v_a(lam))."""
@@ -528,7 +542,7 @@ def ray_knight_report(mech, cfg, harness, oracle, *, pool):
         raise ConfigurationError(f"harness.levels: {exc}; set harness.level_width") from None
     bins = [_level_bin(a, width, "harness.level_width") for a in levels]
 
-    prof, = pool.map(_ray_knight_row, (mech, cfg, x, bins, width), m_paths)
+    prof, = yield _ray_knight_row, (mech, cfg, x, bins, width), m_paths
     kept, discarded, discard_cell = _discards(
         prof[:, 0], note="report invalid above 5% non-passage")
     P = prof[kept]
@@ -612,7 +626,7 @@ def _theorem1_row(spec, i: int) -> tuple:
 
 
 @_suite(beta="theorem1 suite requires beta > 0")
-def theorem1_report(mech, cfg, harness, oracle, *, pool):
+def theorem1_report(mech, cfg, harness, oracle):
     """Residual of the stopped-path identity: the local-time profile at level
     a must equal x plus the left-point stochastic integral of 1{H <= a}
     against the path, with |mean residual| shrinking along the dt ladder."""
@@ -620,8 +634,8 @@ def theorem1_report(mech, cfg, harness, oracle, *, pool):
     m_paths, horizon = harness["theorem1"]["paths"], harness["theorem1"]["horizon"]
     dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, horizon)
 
-    res, prof_fine = pool.map(_theorem1_row,
-                              (mech, fine_cfg, x, levels, ratios, widths, bins), m_paths)
+    res, prof_fine = yield (_theorem1_row,
+                            (mech, fine_cfg, x, levels, ratios, widths, bins), m_paths)
     res = np.ascontiguousarray(res.swapaxes(0, 1))     # (rung, path, level), C order
     kept, discarded, discard_cell = _discards(res[0, :, 0])
 
@@ -666,7 +680,7 @@ def _tanaka_row(spec, i: int) -> tuple:
 
 
 @_suite(beta="tanaka suite requires beta > 0")
-def tanaka_report(mech, cfg, harness, oracle, *, pool):
+def tanaka_report(mech, cfg, harness, oracle):
     """Tanaka-style local times against occupation estimates over a fixed
     window along the dt ladder, and the pathwise agreement of the plus and
     minus variants."""
@@ -674,8 +688,8 @@ def tanaka_report(mech, cfg, harness, oracle, *, pool):
     m_paths, t_window = harness["tanaka"]["paths"], harness["tanaka"]["t"]
     dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, t_window)
 
-    occ, tan, pm_gap = pool.map(_tanaka_row,
-                                (mech, fine_cfg, levels, ratios, widths, bins), m_paths)
+    occ, tan, pm_gap = yield (_tanaka_row,
+                              (mech, fine_cfg, levels, ratios, widths, bins), m_paths)
     # (rung, path, level) in C order, the layout the sums below were written for
     occ, tan = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (occ, tan))
 
@@ -723,7 +737,7 @@ def _noise_row(spec, i: int) -> tuple:
 
 
 @_suite(beta="white-noise suite requires beta > 0 (a Brownian part)")
-def white_noise_report(mech, cfg, harness, oracle, *, pool):
+def white_noise_report(mech, cfg, harness, oracle):
     """The stochastic integral of f(H_s, L_s(H_s)) against the Brownian part,
     restricted to heights below a, must be centered Gaussian with variance
     int_0^a ds int f(s,u)^2 du once the local-time profile has outgrown the
@@ -735,8 +749,8 @@ def white_noise_report(mech, cfg, harness, oracle, *, pool):
     sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
     n_bins = max(1, _level_bin(a_lvl, width, "harness.noise.a"))
 
-    w_hat, covered = pool.map(_noise_row,
-                              (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
+    w_hat, covered = yield (_noise_row,
+                            (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
 
     mean_cell = _mean_cell("mean", {}, w_hat, 0.0, 0.0)
     mean = mean_cell.stat
@@ -802,7 +816,7 @@ def _poisson_row(spec, i: int) -> tuple:
 
 @_suite(jumps="poisson-marks suite requires a jump-bearing mechanism",
         beta="poisson-marks suite requires beta > 0")
-def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
+def poisson_marks_report(mech, cfg, harness, oracle):
     """Jump marks (height, size, running local time at that height) of the
     stopped path, counted in boxes, behave like a unit-intensity Poisson
     measure in ds x pi(dz) x du on covered boxes."""
@@ -825,7 +839,7 @@ def poisson_marks_report(mech, cfg, harness, oracle, *, pool):
     j_level = max(tops)
     n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
 
-    counts, covered, prof_vals = pool.map(
+    counts, covered, prof_vals = yield (
         _poisson_row, (mech, sub, x, boxes, box_bins, width, n_prof, j_level), m_paths)
     kept, discarded, discard_cell = _discards(counts[:, 0])
     C = counts[kept]
@@ -881,7 +895,7 @@ def _reflected_row(spec, i: int) -> tuple:
 
 
 @_suite(beta="reflected suite requires beta > 0")
-def reflected_supremum_report(mech, cfg, harness, oracle, *, pool):
+def reflected_supremum_report(mech, cfg, harness, oracle):
     """beta * (local time of S - xi at 0) recovers the continuous part of the
     supremum, S_t minus its jump increases; band occupation near zero
     estimates the local time, refining with dt."""
@@ -897,8 +911,8 @@ def reflected_supremum_report(mech, cfg, harness, oracle, *, pool):
     devs = []
     for dt in dts:
         h_band = band_mult * math.sqrt(2.0 * beta * dt)
-        lhs, rhs = pool.map(_reflected_row,
-                            (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band), m_paths)
+        lhs, rhs = yield (_reflected_row,
+                          (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band), m_paths)
         rel = abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())
         devs.append(rel)
         # the spreads are combined before dividing by sqrt(m); _se of each side
@@ -928,11 +942,11 @@ def _example_row(spec, i: int) -> tuple:
 
 
 @_suite(fixed_mech=BranchingMechanism(alpha=0.0, beta=0.5))
-def _brownian_example(mech, cfg, harness, oracle, *, pool):
+def _brownian_example(mech, cfg, harness, oracle):
     block = harness["example"]
     m_paths, dt, t_end = block["paths"], block["dt"], block["t"]
 
-    hs, = pool.map(_example_row, (mech, replace(cfg, dt=dt, horizon=t_end)), m_paths)
+    hs, = yield _example_row, (mech, replace(cfg, dt=dt, horizon=t_end)), m_paths
     hs_sorted = np.sort(hs)
     scale = 2.0 * math.sqrt(2.0 * t_end)
     cdf = np.array([math.erf(h / scale) for h in hs_sorted])
@@ -991,15 +1005,17 @@ def run_suite(name: str, mech: BranchingMechanism, cfg: SimConfig,
 
 def run_all(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
             jobs: int = 1) -> list[MonteCarloReport]:
-    """Run every suite applicable to the mechanism on one pool; inapplicable
+    """Plan every suite, so that a configuration error leaves before any
+    path is drawn, then run the applicable ones on one pool; inapplicable
     suites are recorded as skipped entries rather than failures."""
-    reports = []
+    skipped = {}
+    for name, report_fn in SUITES.items():
+        try:
+            report_fn.plan(mech, cfg, harness)
+        except PreconditionError as exc:
+            skipped[name] = MonteCarloReport(
+                check=name, sample_size=0, skipped=True, reason=str(exc),
+                config_echo={"mechanism": mechanism_to_config(mech)})
     with PathPool(jobs) as pool:
-        for name in SUITES:
-            try:
-                reports.append(run_suite(name, mech, cfg, harness, pool=pool))
-            except PreconditionError as exc:
-                reports.append(MonteCarloReport(
-                    check=name, sample_size=0, skipped=True, reason=str(exc),
-                    config_echo={"mechanism": mechanism_to_config(mech)}))
-    return reports
+        return [skipped.get(name) or run_suite(name, mech, cfg, harness, pool=pool)
+                for name in SUITES]

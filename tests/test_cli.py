@@ -268,7 +268,9 @@ def test_dt_override_changes_the_grid(tmp_path):
 @pytest.mark.parametrize("block,field,value", [
     ("theorem1", "horizon", float("inf")), ("noise", "dt", float("nan")),
     ("tanaka", "paths", 1), ("example", "t", -1.0),
-    ("exponent_check", "paths", 2.5), ("poisson", "horizon", 0.0)])
+    ("exponent_check", "paths", 2.5), ("poisson", "horizon", 0.0),
+    # t off the block's own dt grid: the suite would read X at another time
+    ("example", "t", 1.00001), ("exponent_check", "t", 2.005)])
 def test_bad_per_suite_size_exits_2(tmp_path, block, field, value):
     cfg = write_cfg(tmp_path, "c.json", {"harness": {block: {field: value}}})
     r = run_cli("mechanism", "info", "--config", cfg)
@@ -477,6 +479,21 @@ def test_ray_knight_lambda_past_the_float_range_exits_2(tmp_path):
     assert not (tmp_path / "v" / "verify_ray-knight.json").exists()
 
 
+@pytest.mark.parametrize("lam", [19.0, 1e160])
+def test_exponent_lambda_past_the_float_range_exits_2(tmp_path, lam):
+    # at t = 2, t * psi(19) = 741 and exp overflows; psi(1e160) is inf.  The
+    # check is planned, so verify all exits before ray-knight draws a path
+    obj = json.loads(json.dumps(SMALL_VERIFY))
+    obj["harness"]["exponent_check"]["lambdas"] = [lam]
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = subprocess.run(CLI + ["verify", "all", "--config", cfg, "--out", str(tmp_path / "v")],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "harness.exponent_check.lambdas" in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert not (tmp_path / "v" / "verify_all.json").exists()
+
+
 @pytest.mark.parametrize("seed,how,code", [
     (1.5, "config", 2), (True, "config", 2), (-1, "config", 2), (2 ** 64, "config", 2),
     (7.0, "config", 2), ("7", "config", 2), (-1, "flag", 2), (2 ** 64, "flag", 2),
@@ -655,6 +672,8 @@ def _fuzz_run(tmp_path, capsys, command, edits, flags):
 @example(command=["verify", "ray-knight"], edits=[], flags=["--paths", "0"])
 @example(command=["verify", "ray-knight"], edits=[], flags=["--dt", "0.7"])
 @example(command=["verify", "ray-knight"], edits=[(("harness", "lambdas"), [1e160])], flags=[])
+@example(command=["verify", "all"], flags=[],
+         edits=[(("harness", "exponent_check", "lambdas"), [40.0])])
 @example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "alpha"), float("inf"))])
 @example(command=["mechanism", "info"], flags=[], edits=[(("mechanism", "beta"), float("inf"))])
 @example(command=["verify", "poisson-marks"], flags=[], edits=[

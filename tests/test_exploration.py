@@ -173,7 +173,7 @@ def _hand_nodes(times, values, kinds) -> Nodes:
     times, values = np.array(times, dtype=float), np.array(values, dtype=float)
     kinds = np.array(kinds, dtype=np.uint8)
     post = np.flatnonzero(kinds == 2)
-    return Nodes(times, values, kinds, post, values[post] - values[post - 1],
+    return Nodes(times, values, post, values[post] - values[post - 1],
                  np.flatnonzero(kinds == 0))
 
 
@@ -242,7 +242,6 @@ def test_jumps_at_one_instant_pair_pre_and_post_vertices():
     nodes = build_nodes(path)
     assert nodes.times.tolist() == [0.0, 1.0, 1.5, 1.5, 1.5, 1.5, 2.0, 3.0, 4.0]
     assert nodes.values.tolist() == [0.0, 1.0, 0.5, 1.5, 1.5, 2.0, 1.5, 0.75, 1.75]
-    assert nodes.kinds.tolist() == [0, 0, 1, 2, 1, 2, 0, 0, 0]
     assert nodes.jump_post.tolist() == [3, 5]
     assert nodes.grid_index.tolist() == [0, 1, 6, 7, 8]
     assert nodes.piece_is_jump().tolist() == [False, False, True, False, True,

@@ -248,8 +248,7 @@ def test_jump_erosion_residual_zero_right_after_the_jump():
     # window ending at the jump vertex: both sides of the identity vanish
     times = np.array([0.0, 1.0, 1.5, 1.5])
     values = np.array([0.0, 1.0, 0.8, 2.8])
-    kinds = np.array([0, 0, 1, 2], dtype=np.uint8)
-    nodes = Nodes(times=times, values=values, kinds=kinds,
+    nodes = Nodes(times=times, values=values,
                   jump_post=np.array([3]), jump_sizes=np.array([2.0]),
                   grid_index=np.array([0, 1]))
     sc = scan_height(nodes, 1.0)

@@ -5,12 +5,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from levyforest import BranchingMechanism, JumpMeasure, PreconditionError
+from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PreconditionError
 from levyforest.paths import SimConfig
 from levyforest.verify import (
     GridFunction2D,
     MarkBox,
     PathPool,
+    SUITES,
     _exponent_row,
     indicator_box,
     run_all,
@@ -270,14 +271,11 @@ def test_theorem1_residual_per_path():
     assert _residual_and_profile(short, 50.0, [0.25], [5], 0.05) is None
 
 
-def test_run_all_calls_every_traced_layer(monkeypatch):
-    # perfbench --trace wraps these names in levyforest.verify; a refactor
-    # that stops calling one through the module global leaves it blind
+def _count_calls(monkeypatch, names):
+    """Wrap each of names in levyforest.verify to count its calls; returns
+    the counts."""
     import levyforest.verify as verify
-    layers = ("sample_path", "coarsen_path", "build_nodes", "truncate_at_level",
-              "scan_height", "running_local_time", "occupation_profile",
-              "tanaka_local_time", "cb_marginals", "run_suite")
-    calls = dict.fromkeys(layers, 0)
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -285,12 +283,41 @@ def test_run_all_calls_every_traced_layer(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in layers:
+    for name in names:
         monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    return calls
+
+
+def test_run_all_calls_every_traced_layer(monkeypatch):
+    # perfbench --trace wraps these names in levyforest.verify; a refactor
+    # that stops calling one through the module global leaves it blind
+    calls = _count_calls(monkeypatch, (
+        "sample_path", "coarsen_path", "build_nodes", "truncate_at_level",
+        "scan_height", "running_local_time", "occupation_profile",
+        "tanaka_local_time", "cb_marginals", "run_suite"))
     reports = run_all(JUMPY, CFG, TINY, jobs=1)
     assert not any(r.skipped for r in reports)
     assert calls["run_suite"] == 7
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_plan_draws_no_path(monkeypatch, name):
+    calls = _count_calls(monkeypatch, ("sample_path", "cb_marginals"))
+    steps, job, _, (_, targets) = SUITES[name].plan(JUMPY, CFG, TINY)
+    assert callable(job[0]) and job[2] > 1
+    assert [params["lam"] for params, _ in targets] == TINY["exponent_check"]["lambdas"]
+    steps.close()
+    assert calls == {"sample_path": 0, "cb_marginals": 0}
+
+
+def test_run_all_finds_a_late_config_error_before_any_path(monkeypatch):
+    # noise is the fourth suite; its level 1.0 is no edge of 0.3-wide bins
+    calls = _count_calls(monkeypatch, ("sample_path", "cb_marginals"))
+    h = dict(TINY, noise=dict(TINY["noise"], level_width=0.3))
+    with pytest.raises(ConfigurationError, match="harness.noise.a"):
+        run_all(FELLER, CFG, h, jobs=1)
+    assert calls == {"sample_path": 0, "cb_marginals": 0}
 
 
 def test_direct_theorem1_run_takes_the_default_horizon():
