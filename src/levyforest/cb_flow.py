@@ -123,9 +123,8 @@ def cb_marginals(mech: BranchingMechanism, x: float, cfg: SimConfig, m_paths: in
             tot = int(nj.sum())
             if tot:
                 sizes = draw(rng, tot)
-                add = np.zeros(m_paths)
-                np.add.at(add, np.repeat(np.arange(m_paths), nj), sizes)
-                step = step + add
+                step = step + np.bincount(np.repeat(np.arange(m_paths), nj),
+                                          weights=sizes, minlength=m_paths)
         X = np.maximum(step, 0.0)
         if k in targets:
             out[targets[k]] = X.copy()

@@ -12,8 +12,8 @@ Two engines compute the same trajectory:
 
 * scan_height   -- the production engine: one forward sweep that fills an
                    ExplorationStack, where only jump boundaries touch the
-                   records and each jump-free stretch is a vectorized running
-                   minimum plus an interpolation, O(#nodes + #jumps) array work;
+                   records and a jump-free stretch costs an interpolation
+                   only when it erodes below its own atom;
 * direct_height -- direct evaluation of the pathwise identity
                    beta*H_t = xi_t - inf_{[0,t]} xi
                               - sum_{jumps t_i <= t} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
@@ -206,20 +206,56 @@ def scan_height(nodes: Nodes, beta: float) -> HeightScan:
     Up to the first jump H = (xi - inf xi)/beta.  From there the sweep walks
     from jump to jump.  Over the jump-free stretch [s, e] the state at node i
     is the stack at s eroded down to the stretch's running minimum m_i, plus
-    a fresh segment of height (xi_i - m_i)/beta, so the stretch's heights are
-    one np.interp of m against the (level, height) profile of the records
-    the stretch erodes.  Only the stretch ends pop or push records, and each
-    record is popped once: O(nodes + jumps) array work.
+    a fresh segment of height (xi_i - m_i)/beta.  A stretch whose minimum
+    stays above its own atom's lower level erodes only that atom, where H is
+    flat; any other stretch's heights are one np.interp of m against the
+    (level, height) profile of the records it erodes.  Only the stretch ends
+    pop or push records, and each record is popped once.  The running minima
+    of all stretches come from one segmented pass, so a path costs
+    O(nodes * log(longest stretch) + jumps) array work.
     """
     if beta <= 0.0:
         raise PreconditionError("height computation requires beta > 0")
     vals = nodes.values
     inf0 = np.minimum.accumulate(vals)
-    height = np.maximum(vals - inf0, 0.0) / beta
+    height = vals - inf0                # in place: no temporaries the size of the path
+    np.maximum(height, 0.0, out=height)
+    height /= beta
     final = np.zeros(len(nodes.jump_post))
     stack = _sweep_jumps(vals, inf0, nodes.jump_post, beta, height, final)
     return HeightScan(nodes=nodes, beta=beta, height=height,
                       infimum=inf0, final_erosion=final, stack=stack)
+
+
+_BLOCK = 1 << 13
+
+
+def _stretch_minima(vals, starts) -> np.ndarray:
+    """np.minimum.accumulate of vals restarted at every index in starts
+    (starts[0] == 0), exactly.  Stretches of 64 nodes or more on average get
+    one accumulate each.  Shorter ones share log-step doubling over shifted
+    views, in blocks of _BLOCK nodes so that the temporaries stay small.  A
+    block may read minima that the same pass has already lowered; that only
+    widens a window inside the stretch, so the result is the same."""
+    lengths = np.diff(starts, append=len(vals))
+    if len(vals) >= 64 * len(starts):
+        out = np.empty(len(vals))
+        for a, n in zip(starts.tolist(), lengths.tolist()):
+            np.minimum.accumulate(vals[a:a + n], out=out[a:a + n])
+        return out
+    offset = np.ones(len(vals), dtype=np.int32)       # index inside the stretch
+    offset[0] = 0
+    offset[starts[1:]] = 1 - lengths[:-1]
+    np.cumsum(offset, dtype=np.int32, out=offset)
+    out = vals.copy()
+    d, longest = 1, lengths.max()
+    while d < longest:
+        for lo in range(d, len(vals), _BLOCK):
+            hi = min(lo + _BLOCK, len(vals))
+            np.minimum(out[lo:hi], out[lo - d:hi - d], out=out[lo:hi],
+                       where=offset[lo:hi] >= d)
+        d *= 2
+    return out
 
 
 def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack:
@@ -227,34 +263,48 @@ def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack
     stack at the last node (scan_height).
 
     The sweep works on the stack's record lists directly.  Before the first
-    jump the stack is one segment up from the running infimum.  Erosion is
-    an exact comparison of path values, so H is exactly 0 at the running
-    infimum.
+    jump the stack is one segment up from the running infimum.  The running
+    minimum m of every stretch comes from one segmented pass, and the loop
+    over the stretches touches arrays only where a stretch erodes below its
+    own atom.  Erosion is an exact comparison of path values, so H is
+    exactly 0 at the running infimum.
     """
     stack = ExplorationStack(beta)
     lows, bases, jumps = stack.lows, stack.bases, stack.jumps
     posts = jump_post.tolist()
-    pre = vals[jump_post - 1].tolist()
     p0 = posts[0] if posts else len(vals)
     floor = float(inf0[p0 - 1])
     if vals[p0 - 1] > floor:
         lows.append(floor); bases.append(0.0); jumps.append(-1)
-    h_pre = float(height[p0 - 1])
-    for j, (s, e) in enumerate(zip(posts, posts[1:] + [len(vals)])):
-        lows.append(pre[j]); bases.append(h_pre); jumps.append(j)
-        seg = vals[s:e]
-        run_min = np.minimum.accumulate(seg)
-        low = float(run_min[-1])
-        k = bisect_left(lows, low)      # records k.. are eroded away
-        r0 = max(k - 1, 0)              # plus the one cut at level low
-        eroded = np.interp(run_min, lows[r0:] + [float(seg[0])], bases[r0:] + [h_pre])
-        del lows[k:], bases[k:], jumps[k:]
-        height[s:e] = eroded + (seg - run_min) / beta
-        h_low = float(eroded[-1])
-        v_end = float(seg[-1])
-        if v_end > low:
-            lows.append(low); bases.append(h_low); jumps.append(-1)
-        h_pre = h_low + (v_end - low) / beta
+    if posts:
+        seg = vals[p0:]
+        starts = jump_post - p0             # stretch j is seg[starts[j]:stops[j]]
+        stops = np.append(starts[1:], len(seg))
+        run_min = _stretch_minima(seg, starts)
+        pre, tops, v_ends, mins = (x.tolist() for x in (
+            vals[jump_post - 1], seg[starts], seg[stops - 1], run_min[stops - 1]))
+        # H = (xi - m)/beta above each node's running minimum m, plus H at m
+        rise = height[p0:]
+        np.subtract(seg, run_min, out=rise)
+        rise /= beta
+        h_pre = float(height[p0 - 1])
+        for j, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+            lows.append(pre[j]); bases.append(h_pre); jumps.append(j)
+            low = mins[j]
+            if low > pre[j]:
+                # the stretch only erodes its own atom, where H is flat at h_pre
+                rise[a:b] += h_pre
+                h_low = h_pre
+            else:
+                k = bisect_left(lows, low)      # records k.. are eroded away
+                r0 = max(k - 1, 0)              # plus the one cut at level low
+                eroded = np.interp(run_min[a:b], lows[r0:] + [tops[j]], bases[r0:] + [h_pre])
+                rise[a:b] += eroded
+                del lows[k:], bases[k:], jumps[k:]
+                h_low = float(eroded[-1])
+            if v_ends[j] > low:
+                lows.append(low); bases.append(h_low); jumps.append(-1)
+            h_pre = h_low + (v_ends[j] - low) / beta
     stack.top, stack.floor = float(vals[-1]), float(inf0[-1])
     for low_r, up_r, j in zip(lows, lows[1:] + [stack.top], jumps):
         if j >= 0:

@@ -188,19 +188,29 @@ class JumpMeasure:
         weights = np.array([w for z, w in self.atoms if z > delta])
         pl_mass = JumpMeasure(power_law=pl).moment(0, delta)
         probs = np.append(weights, pl_mass) / rate
+        # rng.choice(len(probs), size=n, p=probs) without its per-call checks:
+        # the same cdf, the same uniforms, the same kinds
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
         cut = self._tail_cut(delta, math.inf)
+        if cut is not None:
+            a_t, b_t = (x ** -pl.sigma for x in cut)
+
+        def tail(u: np.ndarray) -> np.ndarray:
+            return (a_t - u * (a_t - b_t)) ** (-1.0 / pl.sigma)
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            kinds = rng.choice(len(probs), size=n, p=probs)
+            u_kind = rng.random(n)
+            if not len(sizes):          # every jump is the power law's
+                return tail(rng.random(n))
+            kinds = cdf.searchsorted(u_kind, side="right")
             out = np.empty(n)
             atom_mask = kinds < len(sizes)
             if atom_mask.any():
                 out[atom_mask] = sizes[kinds[atom_mask]]
             tail_mask = ~atom_mask
             if tail_mask.any():
-                a_t, b_t = (x ** -pl.sigma for x in cut)
-                u = rng.random(int(tail_mask.sum()))
-                out[tail_mask] = (a_t - u * (a_t - b_t)) ** (-1.0 / pl.sigma)
+                out[tail_mask] = tail(rng.random(int(tail_mask.sum())))
             return out
 
         return rate, draw

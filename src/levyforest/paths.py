@@ -17,6 +17,7 @@ of batching or worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -100,13 +101,18 @@ def simulated_law(mech: BranchingMechanism, cfg: SimConfig):
     and are compensated by compensator = int_delta^inf z pi(dz).  Smaller
     jumps are dropped, or folded into the diffusion as their variance
     int_0^delta z^2 pi(dz) under "gaussian_correction" (Asmussen-Rosinski),
-    so variance rate = 2*beta plus that when folded.
+    so variance rate = 2*beta plus that when folded.  Resolved once per
+    (mech, truncation_delta, small_jump_mode) and shared by every path.
     """
-    delta = cfg.truncation_delta
+    return _law(mech, cfg.truncation_delta, cfg.small_jump_mode)
+
+
+@functools.lru_cache(maxsize=64)
+def _law(mech: BranchingMechanism, delta: float, small_jump_mode: str):
     rate, draw = mech.jumps.sampler_above(delta)
     comp = mech.jumps.moment(1, delta)
     var_rate = 2.0 * mech.beta
-    if cfg.small_jump_mode == "gaussian_correction":
+    if small_jump_mode == "gaussian_correction":
         var_rate += mech.jumps.moment(2, 0.0, delta)
     return rate, draw, comp, var_rate
 
@@ -388,16 +394,16 @@ def _increments(db, cells, sizes, drift, coeff, dt) -> np.ndarray:
     """Per-cell increments: drift, Gaussian part and the cell's jump mass."""
     inc = drift * dt + coeff * db
     if len(cells):
-        cell_jump = np.zeros(len(db))
-        np.add.at(cell_jump, cells, sizes)
-        inc += cell_jump
+        inc += np.bincount(cells, weights=sizes, minlength=len(db))
     return inc
 
 
 def _assemble(db, cells, fracs, sizes, drift, coeff, dt, seed, path_index, *,
               inc=None) -> LevyPath:
     """The path driven by the Brownian cell increments db and the jumps sizes
-    at times (cells + fracs) * dt.
+    at times (cells + fracs) * dt.  The jumps must come in (cell, frac)
+    order, as sample_path draws them and coarsen_path and time_reverse
+    keep them.
 
     values is one cumsum of the increments (inc, when the caller already
     has them), so a path comes out bit-identical whether it was drawn in
@@ -410,14 +416,11 @@ def _assemble(db, cells, fracs, sizes, drift, coeff, dt, seed, path_index, *,
     np.cumsum(inc, out=values[1:])
     jumps = JumpSet()
     if len(cells):
-        order = np.lexsort((fracs, cells))
-        cells, fracs, sizes = cells[order], fracs[order], sizes[order]
-        # exclusive within-cell cumulative jump mass
+        # exclusive within-cell cumulative jump mass; the first jump of each
+        # cell sits at searchsorted(cells, cells)
         cum = np.cumsum(sizes) - sizes
-        first = np.ones(len(cells), dtype=bool)
-        first[1:] = cells[1:] != cells[:-1]
-        cell_base = np.repeat(cum[first], np.diff(np.append(np.flatnonzero(first), len(cells))))
-        pre = values[cells] + fracs * (drift * dt + coeff * db[cells]) + (cum - cell_base)
+        pre = (values[cells] + fracs * (drift * dt + coeff * db[cells])
+               + (cum - cum[np.searchsorted(cells, cells)]))
         jumps = JumpSet(times=(cells + fracs) * dt, sizes=sizes, pre_values=pre,
                         cells=cells, fracs=fracs)
     return LevyPath(dt=dt, values=values, brownian_increments=db, jumps=jumps,

@@ -5,7 +5,9 @@ import pytest
 
 from levyforest import BranchingMechanism, JumpMeasure, PreconditionError
 from levyforest.exploration import (
+    _BLOCK,
     ExplorationStack,
+    _stretch_minima,
     concatenate,
     direct_height,
     height_trajectory,
@@ -168,6 +170,21 @@ def test_sweep_matches_direct_formula_on_dense_power_law_path():
         _assert_engines_agree(cut, p.beta_eff)
 
 
+@pytest.mark.parametrize("mean_length", [3, 40, 63, 64, 500])
+def test_stretch_minima_restart_at_every_stretch(mean_length):
+    # both branches, with stretches that straddle the doubling's blocks
+    rng = np.random.default_rng(mean_length)
+    n = 3 * _BLOCK + 17
+    starts = np.sort(rng.choice(np.arange(1, n), size=n // mean_length, replace=False))
+    # drop a run of starts so that one stretch spans several blocks
+    starts = np.concatenate(([0], np.delete(starts, slice(len(starts) // 4, len(starts) // 2))))
+    for vals in (np.cumsum(rng.normal(size=n)), rng.integers(0, 4, size=n).astype(float)):
+        out = _stretch_minima(vals, starts)
+        want = np.concatenate([np.minimum.accumulate(vals[a:b])
+                               for a, b in zip(starts, np.append(starts[1:], n))])
+        assert np.array_equal(out, want)
+
+
 def _hand_nodes(times, values, kinds) -> Nodes:
     """Nodes from a hand-written vertex list (kinds: 0 grid, 1 pre, 2 post)."""
     times, values = np.array(times, dtype=float), np.array(values, dtype=float)
@@ -209,6 +226,20 @@ HAND_CASES = {
         [0, 1, 2, 0, 1, 2, 0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         [0.5, 0.0]),
+    # the first stretch ends exactly at its atom's low level 0.75: the atom
+    # is eroded away and popped; the second stays above its atom
+    "stretch ending at its atom's level": (
+        [0.0, 1.0, 1.5, 1.5, 2.0, 2.5, 2.5, 3.0],
+        [0.0, 1.0, 0.75, 1.75, 1.25, 0.75, 1.25, 1.0],
+        [0, 0, 1, 2, 0, 1, 2, 0],
+        [0.0, 1.0, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75],
+        [0.0, 0.25]),
+    "stretch staying above its atom": (
+        [0.0, 1.0, 1.5, 1.5, 2.0, 3.0],
+        [0.0, 1.0, 0.5, 1.5, 1.0, 1.25],
+        [0, 0, 1, 2, 0, 0],
+        [0.0, 1.0, 0.5, 0.5, 0.5, 0.75],
+        [0.5]),
 }
 
 
@@ -220,7 +251,12 @@ def test_sweep_on_hand_built_nodes(case):
     sc = scan_height(nodes, 1.0)
     assert np.array_equal(sc.height, heights)
     assert np.array_equal(sc.final_erosion, survivors)
+    direct = direct_height(nodes, 1.0)
+    assert np.array_equal(direct.height, heights)
+    assert np.array_equal(direct.final_erosion, survivors)
     _assert_engines_agree(nodes, 1.0)
+    # an eroded atom leaves the stack: its lower levels still increase strictly
+    assert (np.diff(sc.stack.lows) > 0.0).all()
     half = scan_height(nodes, 0.5)
     assert np.array_equal(half.height, 2.0 * np.array(heights))
     assert np.array_equal(half.final_erosion, sc.final_erosion)

@@ -242,6 +242,53 @@ def test_jump_measure_validation():
         BranchingMechanism(-0.1, 1.0)
 
 
+def _choice_draw(jumps: JumpMeasure, delta: float):
+    """sampler_above's draw spelled with rng.choice: (kinds, sizes)."""
+    above = [(z, w) for z, w in jumps.atoms if z > delta]
+    sizes = np.array([z for z, _ in above])
+    pl = jumps.power_law
+    pl_mass = JumpMeasure(power_law=pl).moment(0, delta)
+    probs = np.append([w for _, w in above], pl_mass) / jumps.moment(0, delta)
+
+    def draw(rng, n):
+        kinds = rng.choice(len(probs), size=n, p=probs)
+        out = np.empty(n)
+        atom = kinds < len(sizes)
+        out[atom] = sizes[kinds[atom]]
+        if not atom.all():
+            a, b = (x ** -pl.sigma for x in (max(delta, pl.z_min), pl.z_max or math.inf))
+            u = rng.random(int((~atom).sum()))
+            out[~atom] = (a - u * (a - b)) ** (-1.0 / pl.sigma)
+        return kinds, out
+
+    return draw, sizes
+
+
+@pytest.mark.parametrize("jumps", [
+    JumpMeasure(atoms=((1.0, 0.5), (0.3, 2.0), (0.02, 1.0))),
+    JumpMeasure(power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)),
+    JumpMeasure(atoms=((1.0, 0.5), (0.3, 2.0)),
+                power_law=PowerLawTail(c=1.0, sigma=1.5, z_min=0.0)),
+], ids=["atoms", "power-law", "both"])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_draw_consumes_the_stream_rng_choice_does(jumps, n):
+    # a numpy release that changes Generator.choice would move every
+    # jump-bearing report; this pins the draw to it
+    delta = 0.03
+    rate, draw = jumps.sampler_above(delta)
+    oracle, atom_sizes = _choice_draw(jumps, delta)
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    kinds, want = oracle(a, n)
+    got = draw(b, n)
+    assert rate == jumps.moment(0, delta)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got_kinds = np.array([atom_sizes.tolist().index(z) if z in atom_sizes else len(atom_sizes)
+                          for z in got.tolist()], dtype=kinds.dtype)
+    assert np.array_equal(got_kinds, kinds)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
 # -- JSON config -------------------------------------------------------------
 
 def test_mechanism_config_roundtrip():

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PowerLawTail
 from levyforest.exploration import stack_at
 from levyforest.paths import (
+    _assemble,
     JumpSet,
     LevyPath,
     SimConfig,
@@ -28,6 +30,8 @@ from levyforest.paths import (
 
 FELLER = BranchingMechanism(0.5, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5),)))
+POWER = BranchingMechanism(0.5, 1.0, JumpMeasure(
+    power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
 
 
 def make_path(values, jumps=None, dt=1.0, coeff=1.0):
@@ -283,3 +287,80 @@ def test_csv_exports():
     jlines = buf.getvalue().strip().splitlines()
     assert jlines[0] == "time,size,pre_value"
     assert len(jlines) == len(p.jumps) + 1
+
+
+# -- the assembler against its sorting oracle ---------------------------------
+
+def _assemble_oracle(db, cells, fracs, sizes, drift, coeff, dt):
+    """(values, JumpSet) as the assembler built them when it sorted its jumps
+    by (cell, frac) itself and added each cell's jump mass with np.add.at."""
+    inc = drift * dt + coeff * db
+    if len(cells):
+        cell_jump = np.zeros(len(db))
+        np.add.at(cell_jump, cells, sizes)
+        inc += cell_jump
+    values = np.empty(len(db) + 1)
+    values[0] = 0.0
+    np.cumsum(inc, out=values[1:])
+    if not len(cells):
+        return values, JumpSet()
+    order = np.lexsort((fracs, cells))
+    cells, fracs, sizes = cells[order], fracs[order], sizes[order]
+    cum = np.cumsum(sizes) - sizes
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    cell_base = np.repeat(cum[first], np.diff(np.append(np.flatnonzero(first), len(cells))))
+    pre = values[cells] + fracs * (drift * dt + coeff * db[cells]) + (cum - cell_base)
+    return values, JumpSet(times=(cells + fracs) * dt, sizes=sizes, pre_values=pre,
+                           cells=cells, fracs=fracs)
+
+
+def _assert_matches_oracle(path, db, cells, fracs, sizes):
+    values, jumps = _assemble_oracle(db, cells, fracs, sizes, path.applied_drift,
+                                     path.gaussian_coeff, path.dt)
+    assert np.array_equal(path.values, values)
+    for name in ("times", "sizes", "pre_values", "cells", "fracs"):
+        got, want = getattr(path.jumps, name), getattr(jumps, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("mech", [BranchingMechanism(0.5, 0.5, JumpMeasure(
+    atoms=((1.0, 3.0), (0.25, 8.0)))), POWER], ids=["atoms", "power-law"])
+def test_assemble_matches_the_sorting_oracle(mech):
+    cfg = SimConfig(dt=1e-3, horizon=8.0, truncation_delta=0.03,
+                    small_jump_mode="gaussian_correction", seed=12)
+    full = sample_path(mech, cfg, path_index=3)
+    stopped = sample_path(mech, cfg, path_index=3, stop_level=0.4, stop_grid_ratio=4)
+    assert len(full.jumps) > len(stopped.jumps) > 0
+    for p in (full, stopped):
+        j = p.jumps
+        _assert_matches_oracle(p, p.brownian_increments, j.cells, j.fracs, j.sizes)
+        for ratio in (2, 4):
+            n = p.n_cells - p.n_cells % ratio
+            head = replace(p, values=p.values[:n + 1], brownian_increments=p.brownian_increments[:n],
+                           jumps=JumpSet(*(getattr(j, f)[j.cells < n] for f in
+                                           ("times", "sizes", "pre_values", "cells", "fracs"))))
+            h = head.jumps
+            _assert_matches_oracle(coarsen_path(head, ratio),
+                                   head.brownian_increments.reshape(-1, ratio).sum(axis=1),
+                                   h.cells // ratio, ((h.cells % ratio) + h.fracs) / ratio,
+                                   h.sizes)
+        m = p.n_cells // 2
+        keep = j.cells < m
+        _assert_matches_oracle(time_reverse(p, m * p.dt), p.brownian_increments[:m][::-1].copy(),
+                               (m - 1) - j.cells[keep][::-1], 1.0 - j.fracs[keep][::-1],
+                               j.sizes[keep][::-1])
+
+
+def test_assemble_two_jumps_at_one_instant_matches_the_oracle():
+    db = np.array([0.5, -0.25, 0.75, -1.0])
+    cells, fracs = np.array([1, 1, 2]), np.array([0.5, 0.5, 0.25])
+    sizes = np.array([1.0, 0.5, 0.125])
+    p = _assemble(db, cells, fracs, sizes, -0.5, 1.0, 0.5, 0, 0)
+    _assert_matches_oracle(p, db, cells, fracs, sizes)
+    assert p.jumps.pre_values[1] == p.jumps.pre_values[0] + 1.0
+    r = time_reverse(p)
+    _assert_matches_oracle(r, db[::-1].copy(), 3 - cells[::-1], 1.0 - fracs[::-1], sizes[::-1])
+    assert r.jumps.cells.tolist() == [1, 2, 2]
+    _assert_matches_oracle(coarsen_path(p, 2), db.reshape(-1, 2).sum(axis=1),
+                           cells // 2, ((cells % 2) + fracs) / 2, sizes)
