@@ -232,17 +232,11 @@ _BLOCK = 1 << 13
 
 def _stretch_minima(vals, starts) -> np.ndarray:
     """np.minimum.accumulate of vals restarted at every index in starts
-    (starts[0] == 0), exactly.  Stretches of 64 nodes or more on average get
-    one accumulate each.  Shorter ones share log-step doubling over shifted
-    views, in blocks of _BLOCK nodes so that the temporaries stay small.  A
-    block may read minima that the same pass has already lowered; that only
-    widens a window inside the stretch, so the result is the same."""
+    (starts[0] == 0), exactly, by log-step doubling over shifted views, in
+    blocks of _BLOCK nodes so that the temporaries stay small.  A block may
+    read minima that the same pass has already lowered; that only widens a
+    window inside the stretch, so the result is the same."""
     lengths = np.diff(starts, append=len(vals))
-    if len(vals) >= 64 * len(starts):
-        out = np.empty(len(vals))
-        for a, n in zip(starts.tolist(), lengths.tolist()):
-            np.minimum.accumulate(vals[a:a + n], out=out[a:a + n])
-        return out
     offset = np.ones(len(vals), dtype=np.int32)       # index inside the stretch
     offset[0] = 0
     offset[starts[1:]] = 1 - lengths[:-1]

@@ -120,6 +120,8 @@ class JumpMeasure:
     power_law: PowerLawTail | None = None
 
     def __post_init__(self):
+        # tuples, so that the measure hashes (the simulated law is cached on it)
+        object.__setattr__(self, "atoms", tuple((z, w) for z, w in self.atoms))
         for z, w in self.atoms:
             if not z > 0.0 or not w > 0.0:
                 raise ConfigurationError("atom sizes and weights must be strictly positive")
@@ -196,21 +198,16 @@ class JumpMeasure:
         if cut is not None:
             a_t, b_t = (x ** -pl.sigma for x in cut)
 
-        def tail(u: np.ndarray) -> np.ndarray:
-            return (a_t - u * (a_t - b_t)) ** (-1.0 / pl.sigma)
-
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            u_kind = rng.random(n)
-            if not len(sizes):          # every jump is the power law's
-                return tail(rng.random(n))
-            kinds = cdf.searchsorted(u_kind, side="right")
+            kinds = cdf.searchsorted(rng.random(n), side="right")
             out = np.empty(n)
             atom_mask = kinds < len(sizes)
             if atom_mask.any():
                 out[atom_mask] = sizes[kinds[atom_mask]]
             tail_mask = ~atom_mask
             if tail_mask.any():
-                out[tail_mask] = tail(rng.random(int(tail_mask.sum())))
+                u = rng.random(int(tail_mask.sum()))
+                out[tail_mask] = (a_t - u * (a_t - b_t)) ** (-1.0 / pl.sigma)
             return out
 
         return rate, draw

@@ -59,6 +59,17 @@ def test_determinism_bit_exact():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_atoms_given_as_lists_draw_the_same_path():
+    # the simulated law is cached per mechanism, so the measure must hash
+    listed = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=[[1.0, 0.5]]))
+    assert listed == JUMPY and hash(listed) == hash(JUMPY)
+    cfg = SimConfig(dt=1e-3, horizon=2.0, seed=42)
+    a, b = sample_path(listed, cfg), sample_path(JUMPY, cfg)
+    assert len(a.jumps) > 0
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.jumps.sizes, b.jumps.sizes)
+
+
 def test_reconstruction_residual():
     # the stored components (drift, Gaussian coefficient times the Brownian
     # cell increments, each cell's jumps) rebuild the values
