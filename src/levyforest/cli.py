@@ -30,7 +30,7 @@ from .errors import ConfigurationError, PreconditionError
 from .exploration import scan_height
 from .local_time import default_level_width, level_bins, running_local_time
 from .paths import build_nodes, sample_path, write_csv, write_jumps_csv, write_path_csv
-from .verify import SUITES, run_all, run_suite
+from .verify import SUITES, keep_heap_resident, run_all, run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,6 +169,7 @@ def _cmd_verify(run: RunConfig, suite: str, out: str, jobs: int) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    keep_heap_resident()
     try:
         if args.jobs < 1:
             raise ConfigurationError("--jobs: must be >= 1")

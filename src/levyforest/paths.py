@@ -20,6 +20,7 @@ import csv
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,11 +149,29 @@ def sim_config_to_config(cfg: SimConfig) -> dict:
 # RNG streams
 # ---------------------------------------------------------------------------
 
+_THREAD = threading.local()
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
 def path_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one path; distinct (seed, index) never collide."""
+    """Counter-based stream for one path; distinct (seed, index) never collide.
+
+    The stream is the one of Generator(Philox(key=[seed, index])), but the
+    generator is this thread's single Philox, re-keyed in place with a zero
+    counter and an empty buffer: a new Philox first draws an OS-entropy
+    SeedSequence that the key then overrides.  So the generator is valid
+    until this thread's next call.
+    """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZERO4, "key": key},
+                               "buffer": _ZERO4, "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +364,9 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
     rng = path_stream(cfg.seed, path_index)
     dt = cfg.dt
     n_total = cfg.n_cells
-    chunk = _chunk_cells(cfg)
+    # no other draw comes between the chunks of a jump-free full path, so
+    # one normal call consumes the stream the chunked calls would
+    chunk = n_total if rate == 0.0 and stop_level is None else _chunk_cells(cfg)
     sqrt_dt = math.sqrt(dt)
 
     db_parts: list[np.ndarray] = []
@@ -386,7 +407,8 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
                 break
 
     jumps = [np.concatenate(col) for col in zip(*jump_parts)] or [_NO_CELLS, _EMPTY, _EMPTY]
-    return _assemble(np.concatenate(db_parts), *jumps, drift, coeff, dt, cfg.seed, path_index,
+    db = db_parts[0] if len(db_parts) == 1 else np.concatenate(db_parts)
+    return _assemble(db, *jumps, drift, coeff, dt, cfg.seed, path_index,
                      inc=np.concatenate(inc_parts) if inc_parts else None)
 
 

@@ -87,6 +87,7 @@ __all__ = [
     "reflected_supremum_report",
     "brownian_example_report",
     "PathPool",
+    "keep_heap_resident",
     "SUITES",
     "run_suite",
     "run_all",
@@ -220,15 +221,22 @@ def _gap_cell(name: str, params: dict, stat: float, oracle: float,
 
 
 def _se(samples: np.ndarray, axis: int | None = None):
-    """Standard error of the mean of samples (of each column with axis=0)."""
+    """Standard error of the mean of samples (of each column with axis=0);
+    NaN, without numpy's warnings, for fewer than two samples."""
+    if len(samples) < 2:
+        return np.full(samples.shape[1:], math.nan) if axis == 0 else math.nan
     return samples.std(axis=axis, ddof=1) / math.sqrt(len(samples))
 
 
 def _mean_cell(name: str, params: dict, samples: np.ndarray, oracle: float,
                budget_abs: float) -> CheckCell:
     """The sample mean against the oracle, within three standard errors plus
-    budget_abs."""
-    return _gap_cell(name, params, samples.mean(), oracle, _se(samples), budget_abs)
+    budget_abs.  With fewer than two samples there is no standard error: the
+    cell fails with a null stderr and tol, and its note says why."""
+    n = len(samples)
+    cell = _gap_cell(name, params, samples.mean() if n else math.nan, oracle, _se(samples),
+                     budget_abs)
+    return cell if n > 1 else replace(cell, note="fewer than two samples: no standard error")
 
 
 def _discards(first_stat: np.ndarray, note: str = ""):
@@ -293,6 +301,26 @@ def _chunk(fn, spec, lo: int, hi: int) -> tuple:
     return tuple(np.array(col) for col in zip(*(fn(spec, i) for i in range(lo, hi))))
 
 
+def keep_heap_resident() -> None:
+    """Keep freed path arrays in this process's heap for the next path.
+
+    By default glibc hands large freed blocks back to the OS (it unmaps them
+    or trims the top of the heap), so every path faults its arrays' pages in
+    again.  Setting M_MMAP_THRESHOLD (-3) to 32 MiB, the cap of glibc's own
+    dynamic threshold, and M_TRIM_THRESHOLD (-1) to twice that, as its
+    dynamic rule would, keeps them.  The settings hold for the whole
+    process; where libc has no mallopt this does nothing.
+    """
+    try:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 class PathPool:
     """Runs a per-path function fn(spec, i) -> tuple of statistics over the
     paths [0, m) and returns one array per statistic, rows in path order.
@@ -301,7 +329,7 @@ class PathPool:
     [0, m) is cut into contiguous chunks for a pool of spawned worker
     processes, built at the first map and shut down when the with block
     ends; it spawns workers on demand, so never more than the chunks it
-    has been given.
+    has been given, and each keeps its heap resident.
     """
 
     def __init__(self, jobs: int = 1):
@@ -324,7 +352,8 @@ class PathPool:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             self._executor = ProcessPoolExecutor(
-                self.jobs, mp_context=multiprocessing.get_context("spawn"))
+                self.jobs, mp_context=multiprocessing.get_context("spawn"),
+                initializer=keep_heap_resident)
         n = min(m, CHUNKS_PER_WORKER * self.jobs)
         bounds = [m * c // n for c in range(n + 1)]
         futures = [self._executor.submit(_chunk, fn, spec, lo, hi)

@@ -585,7 +585,6 @@ def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # means of no kept path
 def test_report_of_all_discarded_paths_is_strict_json(tmp_path):
     from levyforest.cli import main
 
@@ -600,6 +599,30 @@ def test_report_of_all_discarded_paths_is_strict_json(tmp_path):
     assert report["discarded"] == report["M"]
     means = [c for c in report["cells"] if c["name"] == "mean_height_vs_oracle"]
     assert means and all(c["stat"] is None and c["tol"] is None for c in means)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_cell_of_one_kept_path_has_no_stderr_and_says_why(tmp_path):
+    from levyforest.cli import main
+
+    # a short horizon on a jump mechanism: 3 of the 4 paths miss -x = -1
+    obj = json.loads(json.dumps(TINY_VERIFY))
+    obj["mechanism"]["jumps"] = {"atoms": [{"z": 0.5, "w": 1.0}],
+                                 "power_law": BOUNDED_POWER_LAW["jumps"]["power_law"]}
+    obj["sim"].update(truncation_delta=0.03, small_jump_mode="gaussian_correction")
+    obj["harness"]["poisson"]["level_width"] = 0.05
+    obj["harness"]["boxes"] = [{"a": [0.0, 0.5], "z": [0.4, 0.6], "u": [0.0, 0.5]}]
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "v"
+    assert main(["verify", "poisson-marks", "--config", cfg, "--out", str(out)]) == 4
+    report = json.loads((out / "verify_poisson-marks.json").read_text())["reports"][0]
+    assert report["M"] - report["discarded"] == 1
+    means = [c for c in report["cells"]
+             if c["name"] in ("mark_count_mean", "mean_profile_vs_oracle")]
+    assert len(means) == 2
+    for c in means:
+        assert c["stat"] is not None and c["stderr"] is None and c["tol"] is None
+        assert not c["pass"] and "fewer than two samples" in c["note"]
 
 
 # -- the CLI boundary under drawn configs and flags ---------------------------

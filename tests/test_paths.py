@@ -1,11 +1,13 @@
 import io
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PowerLawTail
+from levyforest import paths
 from levyforest.exploration import stack_at
 from levyforest.paths import (
     _assemble,
@@ -16,6 +18,7 @@ from levyforest.paths import (
     coarsen_path,
     grid_step,
     hitting_time,
+    path_stream,
     reflected_process,
     running_infimum,
     sample_path,
@@ -59,6 +62,67 @@ def test_determinism_bit_exact():
     assert not np.array_equal(a.values, c.values)
 
 
+def _same_state(a: dict, b: dict) -> bool:
+    """Equal Philox states: the key, counter and buffer arrays and the rest."""
+    sa, sb = a.pop("state"), b.pop("state")
+    return (a.keys() == b.keys()
+            and all(np.array_equal(a[k], b[k]) for k in a)
+            and sa.keys() == sb.keys()
+            and all(np.array_equal(sa[k], sb[k]) for k in sa))
+
+
+@pytest.mark.parametrize("seed,index", [
+    (0, 0), (3, 5), (17, (1 << 47) + 12), (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_rekeyed_stream_is_a_fresh_philox(seed, index):
+    # leave the thread's generator mid-buffer with a spare 32-bit half: the
+    # re-key must clear both
+    prev = path_stream(9, 9)
+    prev.integers(0, 10, size=3, dtype=np.uint32)
+    prev.random(3)
+    assert prev.bit_generator.state["has_uint32"] == 1
+    assert prev.bit_generator.state["buffer_pos"] < 4
+    rng = path_stream(seed, index)
+    fresh = np.random.Generator(np.random.Philox(
+        key=np.array([seed, index], dtype=np.uint64)))
+    assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+    for draw in (lambda g: g.normal(0.0, 0.5, size=7), lambda g: g.poisson(3.0, size=5),
+                 lambda g: g.random(9), lambda g: g.integers(0, 7, size=3, dtype=np.uint32),
+                 lambda g: g.normal(size=1000)):
+        assert np.array_equal(draw(rng), draw(fresh))
+    assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+
+
+def test_threads_draw_paths_from_their_own_streams(monkeypatch):
+    # two threads take turns inside sample_path, swapping at every chunk's
+    # jump draw: each re-keys its own generator, so their paths equal the
+    # same paths drawn one after another
+    mech = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((0.1, 20.0),)))
+    cfg = SimConfig(dt=1e-3, horizon=8.0, seed=4)       # 8 chunks, each with jumps
+    want = [sample_path(mech, cfg, path_index=i).values for i in range(4)]
+    rate, draw, comp, var_rate = paths.simulated_law(mech, cfg)
+    turn = threading.Barrier(2, timeout=30)
+
+    def draw_in_turn(rng, n):
+        turn.wait()
+        return draw(rng, n)
+
+    monkeypatch.setattr(paths, "simulated_law",
+                        lambda *_: (rate, draw_in_turn, comp, var_rate))
+    got = {}
+
+    def work(i):
+        got[i] = sample_path(mech, cfg, path_index=i).values
+
+    for pair in ((0, 1), (2, 3)):
+        threads = [threading.Thread(target=work, args=(i,)) for i in pair]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    assert all(np.array_equal(got.get(i), want[i]) for i in range(4))
+
+
 def test_atoms_given_as_lists_draw_the_same_path():
     # the simulated law is cached per mechanism, so the measure must hash
     listed = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=[[1.0, 0.5]]))
@@ -84,12 +148,16 @@ def test_reconstruction_residual():
 
 
 def test_stop_level_yields_bit_exact_prefix():
+    # a full jump-free path draws its normals in one call, a stopped one in
+    # chunks of 1024 cells: the FELLER prefix spans five of them
     cfg = SimConfig(dt=1e-3, horizon=6.0, seed=11)
-    full = sample_path(JUMPY, cfg, path_index=2)
-    stopped = sample_path(JUMPY, cfg, path_index=2, stop_level=0.7)
-    n = len(stopped.values)
-    assert n <= len(full.values)
-    assert np.array_equal(stopped.values, full.values[:n])
+    for mech, level in ((JUMPY, 0.7), (FELLER, 8.0)):
+        full = sample_path(mech, cfg, path_index=2)
+        stopped = sample_path(mech, cfg, path_index=2, stop_level=level)
+        n = len(stopped.values)
+        assert n <= len(full.values)
+        assert np.array_equal(stopped.values, full.values[:n])
+    assert n > 4 * 1024
 
 
 def test_compensated_drift_mean():

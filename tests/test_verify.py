@@ -14,6 +14,7 @@ from levyforest.verify import (
     SUITES,
     _exponent_row,
     indicator_box,
+    keep_heap_resident,
     run_all,
     run_suite,
     tanaka_report,
@@ -232,6 +233,19 @@ def test_path_pool_surfaces_worker_errors():
     with PathPool(2) as pool:
         with pytest.raises(IndexError):
             pool.map(_exponent_row, spec, 4)
+
+
+@pytest.mark.parametrize("libc", ["no mallopt", "no libc"])
+def test_keep_heap_resident_without_mallopt_does_nothing(monkeypatch, libc):
+    import ctypes
+
+    def cdll(name):
+        if libc == "no libc":
+            raise OSError("cannot open the C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert keep_heap_resident() is None
 
 
 def test_example_suite_small_scale_passes():
