@@ -8,7 +8,9 @@ anywhere.  Bins are half-open on the left; a vertex with H exactly 0 belongs
 to no bin, matching the vanishing occupation of the zero level in the limit.
 One level_bins pass per trajectory feeds both binned estimators: the final
 profile (occupation_profile) and the predictable running value L_s(H_s) at
-every vertex (running_local_time).
+every vertex (running_local_time).  A suite that reads only the levels up to
+some bin K bins only the vertices there (level_bins(..., limit=K)), with the
+same floats in those bins.
 
 The default bin width of `simulate height` couples to the grid step as
 max(dt^(1/3), 4/beta*sqrt(dt)), balancing occupation variance against
@@ -69,18 +71,17 @@ def aligned_level_width(target: float, levels) -> float:
     raise ValueError(f"levels {positive} admit no common bin width near {target}")
 
 
-def _level_key(heights, width: float) -> tuple[np.ndarray, int]:
-    """1 + bin index of every height (0 for H <= 0) in the narrowest unsigned
-    type that holds it, and the largest key."""
-    q = np.asarray(heights, dtype=float) / width
+_KEY_TYPES = tuple((int(np.iinfo(t).max), t) for t in (np.uint8, np.uint16, np.uint32))
+
+
+def _level_key(q: np.ndarray) -> tuple[np.ndarray, int]:
+    """1 + bin index of every height / width quotient q (0 for q <= 0), in
+    the narrowest unsigned type that holds it, and the largest key.  q is
+    overwritten."""
     np.ceil(q, out=q)
     np.maximum(q, 0.0, out=q)
     top = int(q.max()) if len(q) else 0
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dtype).max:
-            break
-    else:
-        dtype = np.int64
+    dtype = next((t for limit, t in _KEY_TYPES if top <= limit), np.int64)
     return q.astype(dtype), top
 
 
@@ -89,22 +90,39 @@ class LevelBins:
     """The vertices of one trajectory binned by level, once for every
     estimator that needs them.
 
-    key[i] is 1 + the bin of H_i, or 0 when H_i <= 0, in the narrowest
-    unsigned type that holds top = key.max() (numpy sorts 8- and 16-bit keys
-    by radix); weights[i] is the left-point occupation weight of vertex i.
+    key[i] is 1 + the bin of H at the i-th binned vertex, or 0 when H <= 0,
+    in the narrowest unsigned type that holds top = key.max() (numpy sorts
+    8- and 16-bit keys by radix); weights[i] is that vertex's left-point
+    occupation weight.  kept is None when every vertex is binned, else the
+    mask of the binned vertices.
     """
 
     key: np.ndarray
     top: int
     weights: np.ndarray
     width: float
+    kept: np.ndarray | None = None
 
 
-def level_bins(times: np.ndarray, heights: np.ndarray, width: float) -> LevelBins:
-    key, top = _level_key(heights, width)
-    return LevelBins(key=key, top=top,
-                     weights=node_weights(np.asarray(times, dtype=float)),
-                     width=width)
+def level_bins(times: np.ndarray, heights: np.ndarray, width: float,
+               limit: int | None = None) -> LevelBins:
+    """Bin every vertex, or with limit = K only the vertices of the bins up
+    to K (key <= K).  A restricted binning serves only estimators that read
+    those bins: occupation_profile with n_bins <= K.
+
+    The restriction is exact.  A stable sort by key puts every key <= K
+    first, in time order, so the running sums and bin bases of
+    running_local_time, and the weighted counts of occupation_profile, over
+    the kept vertices alone are the same floats as over the whole path.
+    """
+    q = np.asarray(heights, dtype=float) / width
+    weights = node_weights(np.asarray(times, dtype=float))
+    kept = None
+    if limit is not None:
+        kept = q <= limit                       # ceil(q) <= K exactly when q <= K
+        q, weights = q[kept], weights[kept]
+    key, top = _level_key(q)
+    return LevelBins(key=key, top=top, weights=weights, width=width, kept=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +140,7 @@ def occupation_profile(times: np.ndarray, heights: np.ndarray,
     if binned is None:
         binned = level_bins(times, heights, width)
     key = binned.key
-    if binned.top > n_bins:
+    if binned.top > n_bins + 1:
         # one slot for every bin above the profile keeps the counts
         # n_bins + 2 long however high the trajectory climbs
         key = np.minimum(key, key.dtype.type(n_bins + 1))
@@ -132,13 +150,15 @@ def occupation_profile(times: np.ndarray, heights: np.ndarray,
 
 def running_local_time(times: np.ndarray, heights: np.ndarray, width: float,
                        *, binned: LevelBins | None = None) -> np.ndarray:
-    """Predictable running estimate L_s(H_s) at every vertex.
+    """Predictable running estimate L_s(H_s) at every binned vertex.
 
-    Entry i is the occupation, strictly before vertex i, of the bin that
-    contains H_i, divided by the width.  Vertices with H = 0 get 0.  One
-    stable (radix) sort groups the vertices by bin in time order; an
-    exclusive cumulative sum less its value at each group's start is the
-    occupation before each vertex.  binned as in occupation_profile.
+    Entry i is the occupation, strictly before the i-th binned vertex, of
+    the bin that contains its H, divided by the width; the binned vertices
+    are all of them, or those of binned.kept when level_bins had a limit.
+    Vertices with H = 0 get 0.  One stable (radix) sort groups the vertices
+    by bin in time order; an exclusive cumulative sum less its value at each
+    group's start is the occupation before each vertex.  binned as in
+    occupation_profile.
     """
     if binned is None:
         binned = level_bins(times, heights, width)

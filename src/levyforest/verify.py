@@ -228,15 +228,22 @@ def _se(samples: np.ndarray, axis: int | None = None):
     return samples.std(axis=axis, ddof=1) / math.sqrt(len(samples))
 
 
+def _mean(samples: np.ndarray, axis: int | None = None):
+    """Mean of samples (of each column with axis=0); NaN, without numpy's
+    warnings, for no samples."""
+    if not len(samples):
+        return np.full(samples.shape[1:], math.nan) if axis == 0 else math.nan
+    return samples.mean(axis=axis)
+
+
 def _mean_cell(name: str, params: dict, samples: np.ndarray, oracle: float,
                budget_abs: float) -> CheckCell:
     """The sample mean against the oracle, within three standard errors plus
     budget_abs.  With fewer than two samples there is no standard error: the
     cell fails with a null stderr and tol, and its note says why."""
-    n = len(samples)
-    cell = _gap_cell(name, params, samples.mean() if n else math.nan, oracle, _se(samples),
-                     budget_abs)
-    return cell if n > 1 else replace(cell, note="fewer than two samples: no standard error")
+    cell = _gap_cell(name, params, _mean(samples), oracle, _se(samples), budget_abs)
+    return cell if len(samples) > 1 else replace(
+        cell, note="fewer than two samples: no standard error")
 
 
 def _discards(first_stat: np.ndarray, note: str = ""):
@@ -676,7 +683,7 @@ def theorem1_report(mech, cfg, harness, oracle):
     dev = []
     for r_idx, dt in enumerate(dts):
         R = res[r_idx, kept]
-        dev.append(float(np.abs(R.mean(axis=0)).mean()))
+        dev.append(float(np.abs(_mean(R, axis=0)).mean()))
         final = r_idx == len(dts) - 1
         tol = 0.05 * x if final else math.inf
         report.cells.append(CheckCell(
@@ -757,12 +764,15 @@ def _noise_row(spec, i: int) -> tuple:
     mech, cfg, f, a_lvl, u_max, width, n_bins = spec
     p = sample_path(mech, cfg, path_index=_NS_NOISE + i)
     nodes, sc = _heights(p)
-    lb = level_bins(nodes.times, sc.height, width)
+    # only H <= a enters: bin the levels up to one bin past a's top bin
+    # (n_bins), which keeps a height that rounds past a's edge
+    lb = level_bins(nodes.times, sc.height, width, limit=n_bins + 1)
     run = running_local_time(nodes.times, sc.height, width, binned=lb)
-    h_left = sc.height[:-1]
-    fv = f(h_left, run[:-1]) * (h_left <= a_lvl)
+    h = sc.height[lb.kept]
+    fv = np.zeros(len(sc.height))
+    fv[lb.kept] = f(h, run) * (h <= a_lvl)
     prof = occupation_profile(nodes.times, sc.height, width, n_bins, binned=lb)
-    return float((fv * _cell_brownian(p, nodes)).sum()), prof.min() >= u_max
+    return float((fv[:-1] * _cell_brownian(p, nodes)).sum()), prof.min() >= u_max
 
 
 @_suite(beta="white-noise suite requires beta > 0 (a Brownian part)")
@@ -884,7 +894,7 @@ def poisson_marks_report(mech, cfg, harness, oracle):
         report.cells.append(_mean_cell("mark_count_mean",
                                        {"box": b_idx, "intensity": intensity},
                                        c, intensity, 0.0))
-        if c.mean() > 0:
+        if _mean(c) > 0:
             fano = float(c.var(ddof=1) / c.mean())
             fano_ok = bool(0.8 <= fano <= 1.2)
             note = ""
@@ -893,7 +903,7 @@ def poisson_marks_report(mech, cfg, harness, oracle):
             fano = 1.0 if intensity == 0.0 else math.inf
             fano_ok = intensity == 0.0
             note = "degenerate zero-count box"
-        cov = float(covered[kept, b_idx].mean())
+        cov = float(_mean(covered[kept, b_idx]))
         report.cells += [
             CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0, 0.2, fano_ok,
                       note=note),

@@ -625,6 +625,33 @@ def test_mean_cell_of_one_kept_path_has_no_stderr_and_says_why(tmp_path):
         assert not c["pass"] and "fewer than two samples" in c["note"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("suite,cells", [
+    ("theorem1", ("abs_mean_residual", "mean_profile_vs_oracle")),
+    ("poisson-marks", ("mark_count_mean", "coverage", "mean_profile_vs_oracle")),
+])
+def test_suite_that_keeps_no_path_writes_null_cells_without_warning(tmp_path, suite, cells):
+    from levyforest.cli import main
+
+    # an atom mechanism and a 0.08 horizon: no path reaches -x = -3
+    obj = json.loads(json.dumps(TINY_VERIFY))
+    obj["mechanism"]["jumps"] = {"atoms": [{"z": 1.0, "w": 1.0}]}
+    obj["harness"]["x"] = 3.0
+    obj["harness"]["theorem1"]["horizon"] = 0.08
+    obj["harness"]["poisson"].update(x=3.0, horizon=0.08)
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "v"
+    assert main(["verify", suite, "--config", cfg, "--out", str(out)]) == 4
+    report = json.loads((out / f"verify_{suite}.json").read_text(),
+                        parse_constant=_no_constant)["reports"][0]
+    assert report["discarded"] == report["M"]
+    for name in cells:
+        found = [c for c in report["cells"] if c["name"] == name]
+        assert found and all(c["stat"] is None and not c["pass"] for c in found), name
+    fano = [c for c in report["cells"] if c["name"] == "fano_factor"]
+    assert all(not c["pass"] and c["note"] == "degenerate zero-count box" for c in fano)
+
+
 # -- the CLI boundary under drawn configs and flags ---------------------------
 
 FUZZ_FIELDS = [

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyforest import BranchingMechanism, JumpMeasure
 from levyforest.exploration import scan_height
@@ -13,11 +16,14 @@ from levyforest.local_time import (
     running_local_time,
     tanaka_local_time,
 )
+from levyforest.mechanism import PowerLawTail
 from levyforest.paths import Nodes, SimConfig, build_nodes, coarsen_path, sample_path, truncate_at_level
 from levyforest.verify import _heights, _level_profile, _ray_knight_row
 
 FELLER = BranchingMechanism(0.5, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5),)))
+POWER = BranchingMechanism(0.5, 1.0, JumpMeasure(
+    power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
 
 
 def test_constant_trajectory_fills_one_bin():
@@ -117,6 +123,56 @@ def test_running_local_time_matches_loop_with_a_wide_key():
     width = float(sc.height.max()) / 70000.0           # more bins than a uint16 holds
     lb = _assert_kernels_match_loop(nodes.times, sc.height, width)
     assert lb.key.dtype == np.uint32 and lb.top > 65535
+
+
+# -- binning only the levels up to a top bin ----------------------------------------
+
+RESTRICT_LAWS = {"jump-free": (FELLER, 0.0), "atom": (JUMPY, 0.0), "power-law": (POWER, 0.03)}
+
+
+@functools.lru_cache(maxsize=None)
+def _restrict_trajectory(law: str, index: int) -> tuple[np.ndarray, np.ndarray]:
+    mech, delta = RESTRICT_LAWS[law]
+    cfg = SimConfig(dt=1e-3, horizon=3.0, truncation_delta=delta,
+                    small_jump_mode="gaussian_correction", seed=41)
+    p = sample_path(mech, cfg, path_index=index)
+    nodes = build_nodes(p)
+    return nodes.times, scan_height(nodes, p.beta_eff).height
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(sorted(RESTRICT_LAWS)), index=st.integers(0, 5),
+       width=st.sampled_from([0.05, 0.1, 0.0125]) | st.floats(0.004, 0.7),
+       limit=st.integers(0, 300), above_top=st.booleans(), planted=st.booleans(),
+       n_bins=st.integers(1, 300))
+def test_restricted_bins_give_the_full_floats(law, index, width, limit, above_top, planted,
+                                              n_bins):
+    times, heights = _restrict_trajectory(law, index)
+    if planted:
+        # heights exactly 0 and exactly on a bin edge, as floats k * width
+        heights = heights.copy()
+        heights[1::5] = 0.0
+        heights[2::7] = np.round(heights[2::7] / width) * width
+    full = level_bins(times, heights, width)
+    assert full.key.dtype == next(t for t in (np.uint8, np.uint16, np.uint32)
+                                  if full.top <= np.iinfo(t).max)
+    if above_top:
+        limit += full.top
+    part = level_bins(times, heights, width, limit=limit)
+    assert np.array_equal(part.kept, full.key <= limit)
+    assert np.array_equal(part.key, full.key[part.kept]) and part.top <= limit
+    assert part.key.dtype.itemsize <= full.key.dtype.itemsize
+    run = running_local_time(times, heights, width, binned=full)
+    assert _bits(running_local_time(times, heights, width, binned=part)) \
+        == _bits(run[part.kept])
+    if limit >= 1:
+        for nb in {min(n_bins, limit), limit}:
+            assert _bits(occupation_profile(times, heights, width, nb, binned=part)) \
+                == _bits(occupation_profile(times, heights, width, nb, binned=full))
 
 
 def test_profile_at_hitting_level_zero_recovers_mass():

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PreconditionError
-from levyforest.paths import SimConfig
+from levyforest.local_time import level_bins, occupation_profile, running_local_time
+from levyforest.mechanism import PowerLawTail
+from levyforest.paths import SimConfig, sample_path
 from levyforest.verify import (
+    _NS_NOISE,
     GridFunction2D,
     MarkBox,
     PathPool,
     SUITES,
+    _cell_brownian,
     _exponent_row,
+    _heights,
     indicator_box,
     keep_heap_resident,
     run_all,
@@ -149,6 +154,40 @@ def test_mark_box_intensity():
     box = MarkBox((0.0, 0.5), (0.8, 1.2), (0.0, 0.5))
     assert box.volume_intensity(JUMPY) == pytest.approx(0.25)
     assert MarkBox((0.0, 0.5), (2.0, 3.0), (0.0, 0.5)).volume_intensity(JUMPY) == 0.0
+
+
+# -- the noise row bins only the levels it reads ---------------------------------
+
+def _noise_row_binning_every_vertex(spec, i: int) -> tuple:
+    """The noise row with every vertex binned and f evaluated at every
+    piece: the reference _noise_row must match bit for bit."""
+    mech, cfg, f, a_lvl, u_max, width, n_bins = spec
+    p = sample_path(mech, cfg, path_index=_NS_NOISE + i)
+    nodes, sc = _heights(p)
+    lb = level_bins(nodes.times, sc.height, width)
+    run = running_local_time(nodes.times, sc.height, width, binned=lb)
+    h_left = sc.height[:-1]
+    fv = f(h_left, run[:-1]) * (h_left <= a_lvl)
+    prof = occupation_profile(nodes.times, sc.height, width, n_bins, binned=lb)
+    return float((fv * _cell_brownian(p, nodes)).sum()), prof.min() >= u_max
+
+
+def test_noise_row_binning_its_levels_matches_binning_every_vertex():
+    # an atom plus a power law; the level a = 0.3 leaves about half of the
+    # vertices unbinned
+    mech = BranchingMechanism(0.5, 0.5, JumpMeasure(
+        atoms=((0.5, 1.0),), power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
+    cfg = SimConfig(dt=1e-3, horizon=24.0, truncation_delta=0.03,
+                    small_jump_mode="gaussian_correction", seed=23)
+    harness = dict(SMALL, noise={"a": 0.3, "u_max": 0.5, "dt": 1e-3, "horizon": 4.0,
+                                 "paths": 40, "level_width": 0.1})
+    steps, (row, spec, m), _, _ = SUITES["noise"].plan(mech, cfg, harness)
+    steps.close()
+    for i in range(m):
+        got, want = row(spec, i), _noise_row_binning_every_vertex(spec, i)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [np.asarray(v).tobytes() for v in got] \
+            == [np.asarray(v).tobytes() for v in want], i
 
 
 def test_suite_preconditions():
