@@ -2,18 +2,20 @@
 
 The exploration measure at time t consists of a Lebesgue part of density
 beta on [0, H_t] plus one atom per not-yet-eroded jump, sitting at the height
-the process had when the jump occurred.  ExplorationStack keeps it as
-records in path-value coordinates: positive continuous increments raise the
-top, jumps push atoms, and lowering the top pops every record it passes (and
-cuts the one it stops in).  Whatever erosion is left when the stack empties
-lowers the running infimum of the path instead.
+the process had when the jump occurred.  In path-value coordinates,
+positive continuous increments raise the top, jumps push atoms, and
+lowering the top pops every record it passes (and cuts the one it stops
+in).  Whatever erosion is left when the stack empties lowers the running
+infimum of the path instead.  ExplorationStack is a read-only snapshot of
+these records.
 
 Two engines compute the same trajectory:
 
-* scan_height   -- the production engine: one forward sweep that fills an
-                   ExplorationStack, where only jump boundaries touch the
-                   records and a jump-free stretch costs an interpolation
-                   only when it erodes below its own atom;
+* scan_height   -- the production engine: one forward sweep of the
+                   exploration dynamics, where only jump boundaries touch
+                   the records and a jump-free stretch costs an
+                   interpolation only when it erodes below its own atom;
+                   it returns the ExplorationStack it ends in;
 * direct_height -- direct evaluation of the pathwise identity
                    beta*H_t = xi_t - inf_{[0,t]} xi
                               - sum_{jumps t_i <= t} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
@@ -27,7 +29,6 @@ in on that prefix of the path.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ from .paths import LevyPath, Nodes, build_nodes, grid_step, node_prefix
 
 __all__ = [
     "ExplorationStack",
-    "concatenate",
     "HeightScan",
     "scan_height",
     "direct_height",
@@ -46,36 +46,29 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class ExplorationStack:
-    """Measure-valued state: segments of the Lebesgue part and jump atoms.
+    """Snapshot of the exploration measure: segments of the Lebesgue part and
+    jump atoms, as scan_height's sweep leaves them.
 
     Records run bottom to top in path-value coordinates.  lows[r] is the
     lower path level of record r and bases[r] the height there; jumps[r] is
     -1 for a segment and, for an atom, the index of its jump in the node
-    sequence scan_height swept (0 from push_jump).  A record reaches up to
-    the next record's lower level, the top one up to top, the current path
-    value, and its mass is the difference of the two levels.  Height is
-    constant across an atom and grows by 1/beta per unit of level across a
-    segment.  floor is the running infimum of the path: the bottom record's
-    lower level, or the level the top sits at once the stack is empty, so
-    total_mass = top - floor.  Lowering the top to a level pops every record
-    whose lower level is at or above it; lows increase strictly bottom to
-    top, so that is one bisection.
+    sequence the sweep ran over.  A record reaches up to the next record's
+    lower level, the top one up to top, the current path value, and its mass
+    is the difference of the two levels.  Height is constant across an atom
+    and grows by 1/beta per unit of level across a segment.  floor is the
+    running infimum of the path: the bottom record's lower level, or the
+    level the top sits at once the stack is empty, so total_mass = top -
+    floor.  lows increase strictly bottom to top.
     """
 
-    __slots__ = ("beta", "lows", "bases", "jumps", "top", "floor")
-
-    def __init__(self, beta: float):
-        if beta <= 0.0:
-            raise PreconditionError("exploration requires beta > 0")
-        self.beta = beta
-        self.lows: list[float] = []
-        self.bases: list[float] = []
-        self.jumps: list[int] = []
-        self.top = 0.0
-        self.floor = 0.0
-
-    # -- observers ------------------------------------------------------------
+    beta: float
+    lows: list[float]
+    bases: list[float]
+    jumps: list[int]
+    top: float
+    floor: float
 
     @property
     def height(self) -> float:
@@ -89,15 +82,6 @@ class ExplorationStack:
     def total_mass(self) -> float:
         return self.top - self.floor
 
-    def copy(self) -> "ExplorationStack":
-        out = ExplorationStack(self.beta)
-        out.lows = self.lows.copy()
-        out.bases = self.bases.copy()
-        out.jumps = self.jumps.copy()
-        out.top = self.top
-        out.floor = self.floor
-        return out
-
     def records(self) -> list[dict]:
         """Bottom-to-top debug view."""
         out = []
@@ -109,70 +93,6 @@ class ExplorationStack:
             else:
                 out.append({"kind": "atom", "mass": up - low, "height": base})
         return out
-
-    def to_json(self) -> str:
-        return json.dumps({"beta": self.beta, "height": self.height,
-                           "total_mass": self.total_mass, "records": self.records()})
-
-    # -- mutators ---------------------------------------------------------
-
-    def push_jump(self, z: float) -> None:
-        """Add an atom of mass z at the current height; H is unchanged."""
-        if z <= 0.0:
-            raise ValueError("jump size must be > 0")
-        self.bases.append(self.height)
-        self.lows.append(self.top)
-        self.jumps.append(0)
-        self.top += z
-
-    def advance_continuous(self, d_xi: float) -> float:
-        """Apply one continuous increment of the path.
-
-        Positive increments raise the top segment (opened at the top if an
-        atom or nothing is there).  Negative increments lower the top by
-        |d_xi|.  Returns the erosion left over after the stack empties: how
-        far the new top lies below the old floor, which becomes the running
-        infimum.
-        """
-        if d_xi > 0.0:
-            if not self.jumps or self.jumps[-1] >= 0:
-                self.bases.append(self.height)
-                self.lows.append(self.top)
-                self.jumps.append(-1)
-            self.top += d_xi
-            return 0.0
-        return self._lower_to(self.top + d_xi)
-
-    def truncate_mass(self, a: float) -> None:
-        """Erode mass a from the top of the support, clamped at empty."""
-        if a < 0.0:
-            raise ValueError("truncation mass must be >= 0")
-        self._lower_to(max(self.top - a, self.floor))
-
-    def _lower_to(self, level: float) -> float:
-        """Pop every record whose lower level is at or above level and move
-        the top there; returns how far level lies below the floor."""
-        k = bisect_left(self.lows, level)
-        del self.lows[k:], self.bases[k:], self.jumps[k:]
-        self.top = level
-        left = max(self.floor - level, 0.0)
-        self.floor = min(self.floor, level)
-        return left
-
-
-def concatenate(lower: ExplorationStack, upper: ExplorationStack) -> ExplorationStack:
-    """Stack upper's records above lower's: levels shift so that upper's floor
-    sits at lower's top, and heights shift by H(lower)."""
-    if lower.beta != upper.beta:
-        raise ValueError("concatenation requires equal beta")
-    out = lower.copy()
-    shift = lower.top - upper.floor
-    lift = lower.height
-    out.lows += [low + shift for low in upper.lows]
-    out.bases += [base + lift for base in upper.bases]
-    out.jumps += upper.jumps
-    out.top = lower.top + upper.total_mass
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +176,15 @@ def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack
     """Overwrite height from the first jump on, fill final and return the
     stack at the last node (scan_height).
 
-    The sweep works on the stack's record lists directly.  Before the first
-    jump the stack is one segment up from the running infimum.  The running
-    minimum m of every stretch comes from one segmented pass, and the loop
-    over the stretches touches arrays only where a stretch erodes below its
-    own atom.  Erosion is an exact comparison of path values, so H is
-    exactly 0 at the running infimum.
+    The sweep keeps the records in three lists and wraps them in the
+    snapshot once, at the end.  Before the first jump the stack is one
+    segment up from the running infimum.  The running minimum m of every
+    stretch comes from one segmented pass, and the loop over the stretches
+    touches arrays only where a stretch erodes below its own atom.  Erosion
+    is an exact comparison of path values, so H is exactly 0 at the running
+    infimum.
     """
-    stack = ExplorationStack(beta)
-    lows, bases, jumps = stack.lows, stack.bases, stack.jumps
+    lows, bases, jumps = [], [], []
     posts = jump_post.tolist()
     p0 = posts[0] if posts else len(vals)
     floor = float(inf0[p0 - 1])
@@ -299,11 +219,11 @@ def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack
             if v_ends[j] > low:
                 lows.append(low); bases.append(h_low); jumps.append(-1)
             h_pre = h_low + (v_ends[j] - low) / beta
-    stack.top, stack.floor = float(vals[-1]), float(inf0[-1])
-    for low_r, up_r, j in zip(lows, lows[1:] + [stack.top], jumps):
+    top = float(vals[-1])
+    for low_r, up_r, j in zip(lows, lows[1:] + [top], jumps):
         if j >= 0:
             final[j] = up_r - low_r
-    return stack
+    return ExplorationStack(beta, lows, bases, jumps, top, float(inf0[-1]))
 
 
 def direct_height(nodes: Nodes, beta: float) -> HeightScan:

@@ -40,7 +40,6 @@ __all__ = [
     "supremum_process",
     "reflected_process",
     "time_reverse",
-    "running_infimum",
     "hitting_time",
     "node_weights",
     "build_nodes",
@@ -483,18 +482,6 @@ def supremum_process(path: LevyPath) -> np.ndarray:
 def reflected_process(path: LevyPath) -> np.ndarray:
     """R = S - xi >= 0 at grid times."""
     return supremum_process(path) - path.values
-
-
-def running_infimum(path: LevyPath, s: float, t: float) -> float:
-    """min of the path over [s, t] (s, t grid times), pre-jump vertices included."""
-    if s > t:
-        raise ValueError("running_infimum requires s <= t")
-    nodes = build_nodes(path)
-    eps = 1e-9 * path.dt
-    window = nodes.values[(nodes.times >= s - eps) & (nodes.times <= t + eps)]
-    if not len(window):
-        raise ValueError(f"running_infimum: no vertex of the path in [s, t] = [{s}, {t}]")
-    return float(window.min())
 
 
 def hitting_time(path: LevyPath, x: float) -> float | None:

@@ -894,15 +894,17 @@ def poisson_marks_report(mech, cfg, harness, oracle):
         report.cells.append(_mean_cell("mark_count_mean",
                                        {"box": b_idx, "intensity": intensity},
                                        c, intensity, 0.0))
-        if _mean(c) > 0:
-            fano = float(c.var(ddof=1) / c.mean())
-            fano_ok = bool(0.8 <= fano <= 1.2)
-            note = ""
-        else:
+        if not _mean(c) > 0:
             # an all-zero count is Poisson-consistent only if the intensity is 0
             fano = 1.0 if intensity == 0.0 else math.inf
             fano_ok = intensity == 0.0
             note = "degenerate zero-count box"
+        elif len(c) < 2:
+            fano, fano_ok, note = math.nan, False, "fewer than two samples: no variance"
+        else:
+            fano = float(c.var(ddof=1) / c.mean())
+            fano_ok = bool(0.8 <= fano <= 1.2)
+            note = ""
         cov = float(_mean(covered[kept, b_idx]))
         report.cells += [
             CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0, 0.2, fano_ok,

@@ -601,8 +601,7 @@ def test_report_of_all_discarded_paths_is_strict_json(tmp_path):
     assert means and all(c["stat"] is None and c["tol"] is None for c in means)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_mean_cell_of_one_kept_path_has_no_stderr_and_says_why(tmp_path):
+def _poisson_report_of_one_kept_path(tmp_path, box: dict) -> dict:
     from levyforest.cli import main
 
     # a short horizon on a jump mechanism: 3 of the 4 paths miss -x = -1
@@ -611,18 +610,39 @@ def test_mean_cell_of_one_kept_path_has_no_stderr_and_says_why(tmp_path):
                                  "power_law": BOUNDED_POWER_LAW["jumps"]["power_law"]}
     obj["sim"].update(truncation_delta=0.03, small_jump_mode="gaussian_correction")
     obj["harness"]["poisson"]["level_width"] = 0.05
-    obj["harness"]["boxes"] = [{"a": [0.0, 0.5], "z": [0.4, 0.6], "u": [0.0, 0.5]}]
+    obj["harness"]["boxes"] = [box]
     cfg = write_cfg(tmp_path, "c.json", obj)
     out = tmp_path / "v"
     assert main(["verify", "poisson-marks", "--config", cfg, "--out", str(out)]) == 4
-    report = json.loads((out / "verify_poisson-marks.json").read_text())["reports"][0]
+    report = json.loads((out / "verify_poisson-marks.json").read_text(),
+                        parse_constant=_no_constant)["reports"][0]
     assert report["M"] - report["discarded"] == 1
+    return report
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_cell_of_one_kept_path_has_no_stderr_and_says_why(tmp_path):
+    report = _poisson_report_of_one_kept_path(
+        tmp_path, {"a": [0.0, 0.5], "z": [0.4, 0.6], "u": [0.0, 0.5]})
     means = [c for c in report["cells"]
              if c["name"] in ("mark_count_mean", "mean_profile_vs_oracle")]
     assert len(means) == 2
     for c in means:
         assert c["stat"] is not None and c["stderr"] is None and c["tol"] is None
         assert not c["pass"] and "fewer than two samples" in c["note"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fano_cell_of_one_kept_path_is_null_and_says_why(tmp_path):
+    # a wide box: the one kept path has marks in it, but one count has no
+    # sample variance
+    report = _poisson_report_of_one_kept_path(
+        tmp_path, {"a": [0.0, 0.5], "z": [0.1, 1.0], "u": [0.0, 5.0]})
+    count, = (c for c in report["cells"] if c["name"] == "mark_count_mean")
+    assert count["stat"] > 0
+    fano, = (c for c in report["cells"] if c["name"] == "fano_factor")
+    assert fano["stat"] is None and not fano["pass"]
+    assert "fewer than two samples" in fano["note"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

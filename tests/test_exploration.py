@@ -1,4 +1,7 @@
+import json
 import math
+from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from levyforest.exploration import (
     _BLOCK,
     ExplorationStack,
     _stretch_minima,
-    concatenate,
     direct_height,
     height_trajectory,
     scan_height,
@@ -22,6 +24,7 @@ from levyforest.paths import (
     Nodes,
     SimConfig,
     build_nodes,
+    node_prefix,
     sample_path,
     time_reverse,
     truncate_at_level,
@@ -36,91 +39,149 @@ POWER_UNBOUNDED = BranchingMechanism(0.5, 1.0, JumpMeasure(
     power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=None)))
 
 
-# -- stack unit behavior -------------------------------------------------------
+# -- the reference dynamics ----------------------------------------------------
+# The exploration dynamics stepped by hand, one piece of the path at a time,
+# on the snapshot record: the reference the sweep's snapshots are checked
+# against (per-event replay, snapshot decomposition).  Each step builds a new
+# record and never writes into the lists of the old one.
 
-def test_up_then_down_restores_state():
-    st = ExplorationStack(0.5)
-    st.advance_continuous(1.3)
-    st.push_jump(0.7)
-    h0, m0 = st.height, st.total_mass
-    st.advance_continuous(0.9)
-    st.advance_continuous(-0.9)
-    assert st.height == pytest.approx(h0, abs=1e-12)
-    assert st.total_mass == pytest.approx(m0, abs=1e-12)
-
-
-def test_partial_atom_erosion_hand_example():
-    # up 2, jump of 5, down 3: (z + inf - xi)^+ = (5 + 4 - 7)^+ = 2 survives
-    st = ExplorationStack(1.0)
-    st.advance_continuous(2.0)
-    st.push_jump(5.0)
-    st.advance_continuous(-3.0)
-    recs = st.records()
-    assert recs[-1] == {"kind": "atom", "mass": pytest.approx(2.0), "height": 2.0}
-    assert st.height == pytest.approx(2.0)
-    assert st.total_mass == pytest.approx(4.0)
+def _push(st: ExplorationStack, z: float) -> ExplorationStack:
+    """An atom of mass z at the current height; H is unchanged."""
+    if z <= 0.0:
+        raise ValueError("jump size must be > 0")
+    return replace(st, lows=st.lows + [st.top], bases=st.bases + [st.height],
+                   jumps=st.jumps + [0], top=st.top + z)
 
 
-def test_push_jump_keeps_height_adds_mass():
-    st = ExplorationStack(1.0)
-    st.advance_continuous(1.0)
-    h = st.height
-    st.push_jump(2.5)
-    assert st.height == h
-    assert st.total_mass == pytest.approx(1.0 + 2.5)
-    st.advance_continuous(-2.5)
-    assert st.height == pytest.approx(h, abs=1e-12)
-    assert st.total_mass == pytest.approx(1.0, abs=1e-12)
+def _lower(st: ExplorationStack, level: float) -> tuple[ExplorationStack, float]:
+    """Pop every record whose lower level is at or above level and move the
+    top there; also how far level lies below the floor."""
+    k = bisect_left(st.lows, level)
+    return (replace(st, lows=st.lows[:k], bases=st.bases[:k], jumps=st.jumps[:k],
+                    top=level, floor=min(st.floor, level)),
+            max(st.floor - level, 0.0))
 
 
-def test_empty_stack_observables():
-    st = ExplorationStack(2.0)
-    assert st.height == 0.0 and st.total_mass == 0.0
-    leftover = st.advance_continuous(-0.7)
-    assert leftover == pytest.approx(0.7)
-    assert st.height == 0.0 and st.total_mass == 0.0
+def _advance(st: ExplorationStack, d_xi: float) -> tuple[ExplorationStack, float]:
+    """One continuous increment: a rise extends (or opens) the top segment, a
+    fall lowers the top; also the erosion left over once the stack empties,
+    which lowers the running infimum."""
+    if d_xi <= 0.0:
+        return _lower(st, st.top + d_xi)
+    if not st.jumps or st.jumps[-1] >= 0:
+        st = replace(st, lows=st.lows + [st.top], bases=st.bases + [st.height],
+                     jumps=st.jumps + [-1])
+    return replace(st, top=st.top + d_xi), 0.0
+
+
+def _truncate(st: ExplorationStack, a: float) -> ExplorationStack:
+    """Erode mass a from the top of the support, clamped at empty."""
+    if a < 0.0:
+        raise ValueError("truncation mass must be >= 0")
+    return _lower(st, max(st.top - a, st.floor))[0]
+
+
+def _concatenate(lower: ExplorationStack, upper: ExplorationStack) -> ExplorationStack:
+    """upper's records above lower's: levels shift so that upper's floor sits
+    at lower's top, and heights shift by H(lower)."""
+    if lower.beta != upper.beta:
+        raise ValueError("concatenation requires equal beta")
+    shift, lift = lower.top - upper.floor, lower.height
+    return replace(lower, lows=lower.lows + [low + shift for low in upper.lows],
+                   bases=lower.bases + [base + lift for base in upper.bases],
+                   jumps=lower.jumps + upper.jumps, top=lower.top + upper.total_mass)
+
+
+def _empty(beta: float) -> ExplorationStack:
+    return ExplorationStack(beta, [], [], [], 0.0, 0.0)
 
 
 def test_truncate_mass_examples():
-    st = ExplorationStack(1.0)
-    st.advance_continuous(2.0)
-    st.push_jump(4.0)
-    st.truncate_mass(0.0)
-    assert st.total_mass == pytest.approx(6.0)     # identity
-    st.truncate_mass(2.0)                          # half the atom
-    assert st.total_mass == pytest.approx(4.0)
-    assert st.height == pytest.approx(2.0)         # height untouched
-    st.truncate_mass(100.0)                        # clamp at empty
-    assert st.total_mass == 0.0 and st.height == 0.0
+    st, _ = _advance(_empty(1.0), 2.0)
+    st = _push(st, 4.0)
+    assert _truncate(st, 0.0).total_mass == pytest.approx(6.0)    # identity
+    half = _truncate(st, 2.0)                                     # half the atom
+    assert half.total_mass == pytest.approx(4.0)
+    assert half.height == pytest.approx(2.0)                      # height untouched
+    gone = _truncate(st, 100.0)                                   # clamp at empty
+    assert gone.total_mass == 0.0 and gone.height == 0.0
 
 
 def test_concatenate_examples():
-    a = ExplorationStack(1.0)
-    a.advance_continuous(1.0)
-    a.push_jump(2.0)
-    b = ExplorationStack(1.0)
-    b.advance_continuous(0.5)
-    b.push_jump(1.0)
-    c = concatenate(a, b)
+    a = _push(_advance(_empty(1.0), 1.0)[0], 2.0)
+    b = _push(_advance(_empty(1.0), 0.5)[0], 1.0)
+    c = _concatenate(a, b)
     assert c.total_mass == pytest.approx(a.total_mass + b.total_mass)
     assert c.height == pytest.approx(a.height + b.height)
     # atom heights of the upper part are shifted by H(lower)
     assert c.records()[-1]["height"] == pytest.approx(a.height + 0.5)
-    empty = ExplorationStack(1.0)
-    d = concatenate(a, empty)
+    d = _concatenate(a, _empty(1.0))
     assert d.total_mass == a.total_mass and d.height == a.height
     with pytest.raises(ValueError):
-        concatenate(a, ExplorationStack(2.0))
+        _concatenate(a, _empty(2.0))
 
 
 def test_stack_validation():
+    # the sweep needs beta > 0; the reference takes positive jumps and
+    # nonnegative truncations only
+    nodes = _hand_nodes([0.0, 1.0], [0.0, 1.0], [0, 0])
     with pytest.raises(PreconditionError):
-        ExplorationStack(0.0)
-    st = ExplorationStack(1.0)
+        scan_height(nodes, 0.0)
     with pytest.raises(ValueError):
-        st.push_jump(-1.0)
+        _push(_empty(1.0), -1.0)
     with pytest.raises(ValueError):
-        st.truncate_mass(-0.5)
+        _push(_empty(1.0), 0.0)
+    with pytest.raises(ValueError):
+        _truncate(_empty(1.0), -0.5)
+
+
+# -- the sweep's snapshot on hand-built nodes ----------------------------------
+
+def test_up_then_down_restores_state():
+    # up 1.3, jump 0.7, up 0.9, down 0.9: back to the state just after the jump
+    nodes = _hand_nodes([0.0, 1.0, 1.5, 1.5, 2.0, 3.0],
+                        [0.0, 1.3, 1.3, 2.0, 2.9, 2.0], [0, 0, 1, 2, 0, 0])
+    after_jump = scan_height(node_prefix(nodes, 4), 0.5).stack
+    st = scan_height(nodes, 0.5).stack
+    assert st.height == pytest.approx(after_jump.height, abs=1e-12)
+    assert st.total_mass == pytest.approx(after_jump.total_mass, abs=1e-12)
+
+
+def test_partial_atom_erosion_hand_example():
+    # up 2, jump of 5, down 3: (z + inf - xi)^+ = (5 + 4 - 7)^+ = 2 survives
+    nodes = _hand_nodes([0.0, 1.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 7.0, 4.0],
+                        [0, 0, 1, 2, 0])
+    st = scan_height(nodes, 1.0).stack
+    assert st.records() == [{"kind": "segment", "extent": 2.0, "mass": 2.0},
+                            {"kind": "atom", "mass": 2.0, "height": 2.0}]
+    assert st.height == 2.0
+    assert st.total_mass == 4.0
+
+
+def test_push_jump_keeps_height_adds_mass():
+    # up 1, jump 2.5, down 2.5: the jump adds mass at the same height, and
+    # the descent erodes exactly that mass
+    nodes = _hand_nodes([0.0, 1.0, 1.5, 1.5, 2.0], [0.0, 1.0, 1.0, 3.5, 1.0],
+                        [0, 0, 1, 2, 0])
+    before, after = (scan_height(node_prefix(nodes, n), 1.0).stack for n in (3, 4))
+    assert before.height == after.height == 1.0
+    assert before.total_mass == 1.0 and after.total_mass == 3.5
+    end = scan_height(nodes, 1.0).stack
+    assert end.height == 1.0 and end.total_mass == 1.0
+    assert [r["kind"] for r in end.records()] == ["segment"]
+
+
+def test_empty_stack_observables():
+    # the erosion left over once the stack empties is the running infimum,
+    # with and without an atom to erode first
+    for times, values, kinds, inf in (
+            ([0.0, 1.0], [0.0, -0.7], [0, 0], -0.7),
+            ([0.0, 1.0, 1.5, 1.5, 2.0], [0.0, 1.0, 1.0, 1.5, -1.0], [0, 0, 1, 2, 0], -1.0)):
+        sc = scan_height(_hand_nodes(times, values, kinds), 2.0)
+        st = sc.stack
+        assert st.records() == []
+        assert st.height == 0.0 and st.total_mass == 0.0
+        assert sc.infimum[-1] == st.floor == inf
 
 
 # -- trajectories --------------------------------------------------------------
@@ -325,6 +386,29 @@ def test_mass_identity_along_a_path():
         assert inf0 == pytest.approx(i0, abs=1e-12)
 
 
+def test_stack_at_the_first_grid_times():
+    # at t = 0 nothing has been explored; after one cell without a jump the
+    # stack is one segment up from the running infimum, or empty after a fall
+    signs = set()
+    for i in range(20):
+        p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=1.0, seed=5), path_index=i)
+        stack, inf0 = stack_at(p, 0.0)
+        assert stack.records() == [] and inf0 == 0.0
+        assert stack.height == 0.0 and stack.total_mass == 0.0
+        if (p.jumps.cells == 0).any():
+            continue
+        stack, inf0 = stack_at(p, p.dt)
+        xi = float(p.values[1])
+        signs.add(xi > 0.0)
+        if xi > 0.0:
+            assert stack.records() == [{"kind": "segment", "extent": xi / p.beta_eff,
+                                        "mass": xi}]
+            assert inf0 == 0.0
+        else:
+            assert stack.records() == [] and inf0 == xi
+    assert signs == {True, False}
+
+
 def test_snapshot_decomposition():
     # evolving from a snapshot equals truncating the snapshot by the suffix
     # deficit and stacking the suffix exploration on top
@@ -338,8 +422,7 @@ def test_snapshot_decomposition():
         snap, _ = stack_at(p, t_cut)
         suffix = _suffix_path(p, t_cut)
         suf_stack, suf_inf0 = stack_at(suffix, t_end - t_cut)
-        snap.truncate_mass(-suf_inf0)
-        combined = concatenate(snap, suf_stack)
+        combined = _concatenate(_truncate(snap, -suf_inf0), suf_stack)
 
         rng_fail = max(rng_fail, abs(combined.total_mass - full.total_mass),
                        abs(combined.height - full.height))
@@ -370,18 +453,19 @@ def test_surviving_atoms_match_erosion_formula():
 
 def _replay(p: LevyPath, t: float) -> tuple[ExplorationStack, float]:
     """Stack and running infimum at grid time t, by feeding the build_nodes
-    pieces up to t one at a time through push_jump and advance_continuous."""
+    pieces up to t one at a time through the reference dynamics."""
     nodes = build_nodes(p)
     stop = int(nodes.grid_index[int(round(t / p.dt))])
     is_jump = nodes.piece_is_jump()
-    stack = ExplorationStack(p.beta_eff)
+    stack = _empty(p.beta_eff)
     inf0 = 0.0
     for i in range(1, stop + 1):
         d = float(nodes.values[i] - nodes.values[i - 1])
         if is_jump[i - 1]:
-            stack.push_jump(d)
+            stack = _push(stack, d)
         else:
-            inf0 -= stack.advance_continuous(d)
+            stack, left = _advance(stack, d)
+            inf0 -= left
     return stack, inf0
 
 
@@ -445,11 +529,12 @@ def test_reversal_cross_check_on_monte_carlo_average():
 
 
 def test_stack_json_dump():
-    st = ExplorationStack(1.0)
-    st.advance_continuous(1.0)
-    st.push_jump(0.5)
-    import json
-    obj = json.loads(st.to_json())
-    assert obj["records"][0]["kind"] == "segment"
+    # the records view of a snapshot is plain JSON: up 1, then a jump of 0.5
+    nodes = _hand_nodes([0.0, 1.0, 1.5, 1.5, 2.0], [0.0, 1.0, 1.0, 1.5, 1.5],
+                        [0, 0, 1, 2, 0])
+    st = scan_height(nodes, 1.0).stack
+    obj = json.loads(json.dumps({"height": st.height, "total_mass": st.total_mass,
+                                 "records": st.records()}))
+    assert obj["records"][0] == {"kind": "segment", "extent": 1.0, "mass": 1.0}
     assert obj["records"][1] == {"kind": "atom", "mass": 0.5, "height": 1.0}
-    assert obj["total_mass"] == pytest.approx(1.5)
+    assert obj["height"] == 1.0 and obj["total_mass"] == 1.5

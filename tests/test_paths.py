@@ -20,7 +20,6 @@ from levyforest.paths import (
     hitting_time,
     path_stream,
     reflected_process,
-    running_infimum,
     sample_path,
     sim_config_from_config,
     sim_config_to_config,
@@ -240,30 +239,6 @@ def test_supremum_includes_intra_cell_jump_top():
     s_nodes = np.maximum.accumulate(nodes.values)
     post = nodes.jump_post[0]
     assert (nodes.values[post] - s_nodes[post - 1]) == pytest.approx(2.75 - 1.0)
-
-
-def test_running_infimum_examples():
-    p = make_path([0.0, 1.0, -1.0, 2.0])
-    assert running_infimum(p, 3.0, 3.0) == 2.0
-    assert running_infimum(p, 1.0, 3.0) == -1.0
-    q = make_path([0.0, -0.5, -1.2, -2.0])
-    assert running_infimum(q, 0.0, 3.0) == -2.0
-
-
-def test_running_infimum_sees_pre_jump_values():
-    rng_path = sample_path(JUMPY, SimConfig(dt=1e-2, horizon=3.0, seed=21), path_index=4)
-    nodes = build_nodes(rng_path)
-    s, t = 0.0, rng_path.horizon
-    brute = nodes.values.min()
-    assert running_infimum(rng_path, s, t) == brute
-    with pytest.raises(ValueError):
-        running_infimum(rng_path, 2.0, 1.0)
-
-
-def test_running_infimum_names_an_empty_window():
-    p = make_path([0.0, 1.0, -1.0])
-    with pytest.raises(ValueError, match=r"\[s, t\] = \[5.0, 6.0\]"):
-        running_infimum(p, 5.0, 6.0)
 
 
 @pytest.mark.parametrize("t", [-0.5, 0.30005, 2.5], ids=["negative", "off-grid", "past-horizon"])
