@@ -205,8 +205,6 @@ class LevyPath:
     jumps: JumpSet
     applied_drift: float
     gaussian_coeff: float
-    seed: int = 0
-    path_index: int = 0
 
     @property
     def n_cells(self) -> int:
@@ -407,7 +405,7 @@ def sample_path(mech: BranchingMechanism, cfg: SimConfig, *,
 
     jumps = [np.concatenate(col) for col in zip(*jump_parts)] or [_NO_CELLS, _EMPTY, _EMPTY]
     db = db_parts[0] if len(db_parts) == 1 else np.concatenate(db_parts)
-    return _assemble(db, *jumps, drift, coeff, dt, cfg.seed, path_index,
+    return _assemble(db, *jumps, drift, coeff, dt,
                      inc=np.concatenate(inc_parts) if inc_parts else None)
 
 
@@ -419,8 +417,7 @@ def _increments(db, cells, sizes, drift, coeff, dt) -> np.ndarray:
     return inc
 
 
-def _assemble(db, cells, fracs, sizes, drift, coeff, dt, seed, path_index, *,
-              inc=None) -> LevyPath:
+def _assemble(db, cells, fracs, sizes, drift, coeff, dt, *, inc=None) -> LevyPath:
     """The path driven by the Brownian cell increments db and the jumps sizes
     at times (cells + fracs) * dt.  The jumps must come in (cell, frac)
     order, as sample_path draws them and coarsen_path and time_reverse
@@ -445,8 +442,7 @@ def _assemble(db, cells, fracs, sizes, drift, coeff, dt, seed, path_index, *,
         jumps = JumpSet(times=(cells + fracs) * dt, sizes=sizes, pre_values=pre,
                         cells=cells, fracs=fracs)
     return LevyPath(dt=dt, values=values, brownian_increments=db, jumps=jumps,
-                    applied_drift=drift, gaussian_coeff=coeff,
-                    seed=seed, path_index=path_index)
+                    applied_drift=drift, gaussian_coeff=coeff)
 
 
 def coarsen_path(path: LevyPath, ratio: int) -> LevyPath:
@@ -464,8 +460,7 @@ def coarsen_path(path: LevyPath, ratio: int) -> LevyPath:
     j = path.jumps
     return _assemble(path.brownian_increments.reshape(-1, ratio).sum(axis=1),
                      j.cells // ratio, ((j.cells % ratio) + j.fracs) / ratio, j.sizes,
-                     path.applied_drift, path.gaussian_coeff, path.dt * ratio,
-                     path.seed, path.path_index)
+                     path.applied_drift, path.gaussian_coeff, path.dt * ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,7 @@ def time_reverse(path: LevyPath, t: float | None = None) -> LevyPath:
     return _assemble(path.brownian_increments[:m][::-1].copy(),
                      (m - 1) - j.cells[keep][::-1], 1.0 - j.fracs[keep][::-1],
                      j.sizes[keep][::-1], path.applied_drift, path.gaussian_coeff,
-                     path.dt, path.seed, path.path_index)
+                     path.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ The suites share one pipeline.  One stage, _heights, takes a path through
 build_nodes, the optional cut at its first passage below -x and scan_height;
 _level_profile reads its local-time profile at the requested levels.  One
 cell builder, _mean_cell, turns a sample array into a mean-vs-oracle cell
-(mean, standard error std(ddof=1)/sqrt(n), tolerance), and _discards counts
-the paths that miss -x.  Every suite body is a generator that writes rows =
+(mean, standard error std(ddof=1)/sqrt(n), tolerance), one, _ladder_cells,
+builds the rung and order cells of a dt ladder, and _discards counts the
+paths that miss -x.  Every suite body is a generator that writes rows =
 yield fn, spec, m where it needs per-path rows and returns its report; _suite
 makes it a report function whose plan runs every check of the suite (with the
 harness filled in from DEFAULT_HARNESS, the only copy of the defaults) before
@@ -27,14 +28,20 @@ split never changes a number.  One pool serves every suite of a verify
 command and also holds the path-exponent values, which suites sharing a
 mechanism then simulate once.
 
-Tolerances follow one scheme throughout: three standard errors of the Monte
-Carlo statistic plus an explicit discretization budget proportional to the
-oracle (budgets are configuration, not derived claims).  Every suite also
-carries "path-exponent" health cells comparing the empirical Laplace
-transform of the simulated increments against exp(t * psi(lam)) of the
-oracle mechanism; these run at a coarse step (the grid law is exact in
-distribution at any step) and make each suite sensitive to a mis-specified
-oracle drift, which is what the negative-control mode perturbs.
+A cell's pass is its rule on stat, oracle and tol, false on a NaN: gap
+|stat - oracle| <= tol (mean, Laplace, variance, skewness, Fano factor),
+upper stat - oracle <= tol (discard rate, dt-ladder rungs, plus/minus
+identity, KS distance), lower stat >= oracle - tol (coverage, nonnegative)
+and order stat > oracle (strict decrease along a dt ladder).  The mean,
+Laplace, variance and skewness tolerances are three standard errors plus an
+explicit discretization budget proportional to the oracle (budgets are
+configuration, not derived claims).
+Every suite also carries "path-exponent" health cells comparing the
+empirical Laplace transform of the simulated increments against
+exp(t * psi(lam)) of the oracle mechanism; these run at a coarse step (the
+grid law is exact in distribution at any step) and make each suite
+sensitive to a mis-specified oracle drift, which is what the
+negative-control mode perturbs.
 """
 
 from __future__ import annotations
@@ -155,6 +162,15 @@ def merge_harness(harness: dict) -> dict:
 # report containers and cells
 # ---------------------------------------------------------------------------
 
+# the pass rules of a cell, on its stat, oracle and tol
+_RULES = {
+    "gap": lambda stat, oracle, tol: abs(stat - oracle) <= tol,
+    "upper": lambda stat, oracle, tol: stat - oracle <= tol,
+    "lower": lambda stat, oracle, tol: stat >= oracle - tol,
+    "order": lambda stat, oracle, tol: stat > oracle,
+}
+
+
 @dataclass(frozen=True)
 class CheckCell:
     name: str
@@ -163,8 +179,15 @@ class CheckCell:
     oracle: float
     stderr: float
     tol: float
-    passed: bool
+    rule: str           # a key of _RULES
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """The cell's rule; false where stat, oracle or tol is NaN (each rule
+        compares stat and oracle, so only order needs the check on tol)."""
+        return not math.isnan(self.tol) and bool(
+            _RULES[self.rule](self.stat, self.oracle, self.tol))
 
     def to_dict(self) -> dict:
         params = {k: (_json_number(v) if isinstance(v, (int, float, np.floating)) else v)
@@ -214,10 +237,8 @@ class MonteCarloReport:
 
 def _gap_cell(name: str, params: dict, stat: float, oracle: float,
               se: float, budget_abs: float) -> CheckCell:
-    tol = 3.0 * se + budget_abs
-    return CheckCell(name=name, params=params, stat=float(stat),
-                     oracle=float(oracle), stderr=float(se), tol=float(tol),
-                     passed=bool(abs(stat - oracle) <= tol))
+    return CheckCell(name, params, float(stat), float(oracle), float(se),
+                     float(3.0 * se + budget_abs), "gap")
 
 
 def _se(samples: np.ndarray, axis: int | None = None):
@@ -253,15 +274,22 @@ def _discards(first_stat: np.ndarray, note: str = ""):
     discarded = int(len(kept) - kept.sum())
     rate = discarded / len(kept)
     return kept, discarded, CheckCell("discard_rate", {}, rate, 0.0, 0.0, 0.05,
-                                      rate <= 0.05, note=note)
+                                      "upper", note)
 
 
-def _monotone_cells(name: str, dts: list[float], dev: list[float]) -> list[CheckCell]:
-    """One cell per step of the dt ladder: dev must decrease strictly."""
-    return [CheckCell(name=name, params={"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
-                      stat=dev[j] - dev[j + 1], oracle=0.0, stderr=0.0, tol=math.inf,
-                      passed=dev[j] > dev[j + 1], note="requires strict decrease")
-            for j in range(len(dev) - 1)]
+def _ladder_cells(name: str, order_name: str, dts: list[float], rungs: list[tuple],
+                  tol: float, notes: tuple[str, str]) -> list[CheckCell]:
+    """The cells of a dt ladder, coarse to fine: one upper cell per rung
+    (params, deviation, stderr), ungated (tol inf) but for tol at the finest
+    rung, with notes (coarser rungs, finest rung); then one order cell per
+    step of the ladder: the deviation must decrease strictly."""
+    last = len(rungs) - 1
+    cells = [CheckCell(name, params, dev, 0.0, se, tol if r == last else math.inf,
+                       "upper", notes[r == last])
+             for r, (params, dev, se) in enumerate(rungs)]
+    return cells + [CheckCell(order_name, {"dt_coarse": dts[j], "dt_fine": dts[j + 1]},
+                              rungs[j][1] - rungs[j + 1][1], 0.0, 0.0, math.inf, "order",
+                              "requires strict decrease") for j in range(last)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +567,6 @@ class MarkBox:
         return (self.a[1] - self.a[0]) * mech.jumps.moment(0, *self.z) * (self.u[1] - self.u[0])
 
 
-
-
 # ---------------------------------------------------------------------------
 # suite 1: first-passage local-time profile vs branching laws
 # ---------------------------------------------------------------------------
@@ -622,7 +648,8 @@ def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
     fine_dt = dts[-1]
     ratios = [int(round(d / fine_dt)) for d in dts]
     if any(abs(r * fine_dt - d) > 1e-12 for r, d in zip(ratios, dts)):
-        raise PreconditionError("dt ladder must be integer multiples of the finest dt")
+        raise ConfigurationError(
+            f"harness.dts: each step must be a whole multiple of the finest, {fine_dt}")
     base = min(a for a in levels if a > 0.0)
     widths = []
     div = 0
@@ -680,17 +707,10 @@ def theorem1_report(mech, cfg, harness, oracle):
         discarded=discarded,
         config_echo={"x": x, "residual_levels": levels, "dts": dts,
                      "level_widths": widths, "horizon": horizon})
-    dev = []
-    for r_idx, dt in enumerate(dts):
-        R = res[r_idx, kept]
-        dev.append(float(np.abs(_mean(R, axis=0)).mean()))
-        final = r_idx == len(dts) - 1
-        tol = 0.05 * x if final else math.inf
-        report.cells.append(CheckCell(
-            name="abs_mean_residual", params={"dt": dt}, stat=dev[-1], oracle=0.0,
-            stderr=float(_se(R, axis=0).mean()), tol=tol, passed=dev[-1] <= tol,
-            note="gate applies at the finest dt" if not final else ""))
-    report.cells += _monotone_cells("residual_monotone_decrease", dts, dev)
+    rungs = [({"dt": dt}, float(np.abs(_mean(R, axis=0)).mean()),
+              float(_se(R, axis=0).mean())) for dt, R in zip(dts, res[:, kept])]
+    report.cells += _ladder_cells("abs_mean_residual", "residual_monotone_decrease", dts,
+                                  rungs, 0.05 * x, ("gate applies at the finest dt", ""))
 
     Pf = prof_fine[kept]
     for k, a in enumerate(levels):
@@ -733,24 +753,14 @@ def tanaka_report(mech, cfg, harness, oracle):
         check="tanaka", sample_size=m_paths,
         config_echo={"levels": levels, "dts": dts, "t": t_window,
                      "level_widths": widths})
-    dev = []
-    for r_idx, dt in enumerate(dts):
-        dev.append(float(np.abs(occ[r_idx].mean(axis=0) - tan[r_idx].mean(axis=0)).mean()))
-        final = r_idx == len(dts) - 1
-        mean_lt = float(occ[r_idx].mean())
-        tol = 0.05 * mean_lt if final else math.inf
-        report.cells.append(CheckCell(
-            name="abs_mean_deviation", params={"dt": dt, "mean_local_time": mean_lt},
-            stat=dev[-1], oracle=0.0,
-            stderr=float(_se(occ[r_idx] - tan[r_idx], axis=0).mean()),
-            tol=tol, passed=dev[-1] <= tol,
-            note="gate: 5% of mean local time at the finest dt" if final else ""))
-    report.cells += _monotone_cells("deviation_monotone_decrease", dts, dev)
-    worst_pm = float(pm_gap.max())
-    report.cells.append(CheckCell(
-        name="plus_minus_pathwise", params={}, stat=worst_pm, oracle=0.0,
-        stderr=0.0, tol=1e-9, passed=worst_pm <= 1e-9,
-        note="algebraic identity of the two variants"))
+    rungs = [({"dt": dt, "mean_local_time": float(o.mean())},
+              float(np.abs(o.mean(axis=0) - t.mean(axis=0)).mean()),
+              float(_se(o - t, axis=0).mean())) for dt, o, t in zip(dts, occ, tan)]
+    report.cells += _ladder_cells("abs_mean_deviation", "deviation_monotone_decrease", dts,
+                                  rungs, 0.05 * rungs[-1][0]["mean_local_time"],
+                                  ("", "gate: 5% of mean local time at the finest dt"))
+    report.cells.append(CheckCell("plus_minus_pathwise", {}, float(pm_gap.max()), 0.0, 0.0,
+                                  1e-9, "upper", "algebraic identity of the two variants"))
     return report
 
 
@@ -806,8 +816,8 @@ def white_noise_report(mech, cfg, harness, oracle):
         cells=[mean_cell,
                _gap_cell("variance", {}, var, var_oracle, se_var, 0.05 * var_oracle),
                _gap_cell("skewness", {}, skew, 0.0, math.sqrt(6.0 / m_paths), 0.0),
-               CheckCell("coverage", {}, coverage, 1.0, 0.0, 0.1, coverage >= 0.9,
-                         note="fraction of paths whose profile exceeds u_max below a")],
+               CheckCell("coverage", {}, coverage, 1.0, 0.0, 0.1, "lower",
+                         "fraction of paths whose profile exceeds u_max below a")],
         config_echo={"a": a_lvl, "u_max": u_max, "dt": block["dt"],
                      "horizon": block["horizon"], "level_width": width})
 
@@ -896,21 +906,16 @@ def poisson_marks_report(mech, cfg, harness, oracle):
                                        c, intensity, 0.0))
         if not _mean(c) > 0:
             # an all-zero count is Poisson-consistent only if the intensity is 0
-            fano = 1.0 if intensity == 0.0 else math.inf
-            fano_ok = intensity == 0.0
-            note = "degenerate zero-count box"
+            fano, note = (1.0 if intensity == 0.0 else math.inf), "degenerate zero-count box"
         elif len(c) < 2:
-            fano, fano_ok, note = math.nan, False, "fewer than two samples: no variance"
+            fano, note = math.nan, "fewer than two samples: no variance"
         else:
-            fano = float(c.var(ddof=1) / c.mean())
-            fano_ok = bool(0.8 <= fano <= 1.2)
-            note = ""
+            fano, note = float(c.var(ddof=1) / c.mean()), ""
         cov = float(_mean(covered[kept, b_idx]))
         report.cells += [
-            CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0, 0.2, fano_ok,
-                      note=note),
-            CheckCell("coverage", {"box": b_idx}, cov, 1.0, 0.0, 0.1, cov >= 0.9,
-                      note="box unreliable below 90% coverage")]
+            CheckCell("fano_factor", {"box": b_idx}, fano, 1.0, 0.0, 0.2, "gap", note),
+            CheckCell("coverage", {"box": b_idx}, cov, 1.0, 0.0, 0.1, "lower",
+                      "box unreliable below 90% coverage")]
     mo = oracle.cb_mean(x, prof_level)
     report.cells.append(_mean_cell("mean_profile_vs_oracle", {"a": prof_level},
                                    prof_vals[kept], mo, harness["mean_budget"] * mo))
@@ -949,25 +954,21 @@ def reflected_supremum_report(mech, cfg, harness, oracle):
     report = MonteCarloReport(
         check="reflected", sample_size=m_paths,
         config_echo={"t": t_end, "dts": dts, "band_mult": band_mult})
-    devs = []
+    rungs = []
     for dt in dts:
         h_band = band_mult * math.sqrt(2.0 * beta * dt)
         lhs, rhs = yield (_reflected_row,
                           (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band), m_paths)
-        rel = abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())
-        devs.append(rel)
         # the spreads are combined before dividing by sqrt(m); _se of each side
         # would round differently and change the reported stderr
-        se = float(np.hypot(lhs.std(ddof=1), rhs.std(ddof=1))
-                   / math.sqrt(m_paths) / abs(rhs.mean()))
-        gate = has_jumps and dt == dts[-1]
-        tol = 0.05 if gate else math.inf
-        report.cells.append(CheckCell(
-            name="identity_rel_dev", params={"dt": dt, "band": h_band},
-            stat=float(rel), oracle=0.0, stderr=se, tol=tol,
-            passed=rel <= tol,
-            note="5% gate at finest dt (jump mechanisms)" if gate else ""))
-    report.cells += _monotone_cells("deviation_monotone_decrease", dts, devs)
+        rungs.append(({"dt": dt, "band": h_band},
+                      float(abs(lhs.mean() - rhs.mean()) / abs(rhs.mean())),
+                      float(np.hypot(lhs.std(ddof=1), rhs.std(ddof=1))
+                            / math.sqrt(m_paths) / abs(rhs.mean()))))
+    report.cells += _ladder_cells(
+        "identity_rel_dev", "deviation_monotone_decrease", dts, rungs,
+        0.05 if has_jumps else math.inf,
+        ("", "5% gate at finest dt (jump mechanisms)" if has_jumps else ""))
     return report
 
 
@@ -999,13 +1000,11 @@ def _brownian_example(mech, cfg, harness, oracle):
 
     return MonteCarloReport(
         check="example", sample_size=m_paths,
-        cells=[CheckCell(name="ks_distance", params={"t": t_end}, stat=ks, oracle=0.0,
-                         stderr=0.0, tol=crit, passed=ks <= crit,
-                         note="1% critical value for the half-normal comparison"),
+        cells=[CheckCell("ks_distance", {"t": t_end}, ks, 0.0, 0.0, crit, "upper",
+                         "1% critical value for the half-normal comparison"),
                _mean_cell("mean_height", {"t": t_end}, hs, mean_oracle,
                           0.02 * mean_oracle),
-               CheckCell(name="nonnegative", params={}, stat=float(hs.min()), oracle=0.0,
-                         stderr=0.0, tol=0.0, passed=bool(hs.min() >= 0.0))],
+               CheckCell("nonnegative", {}, float(hs.min()), 0.0, 0.0, 0.0, "lower")],
         config_echo={"t": t_end, "dt": dt})
 
 

@@ -437,7 +437,7 @@ def _suffix_path(p: LevyPath, t_cut: float) -> LevyPath:
     keep = p.jumps.cells >= k
     return _assemble(p.brownian_increments[k:], p.jumps.cells[keep] - k,
                      p.jumps.fracs[keep], p.jumps.sizes[keep], p.applied_drift,
-                     p.gaussian_coeff, p.dt, 0, 0)
+                     p.gaussian_coeff, p.dt)
 
 
 def test_surviving_atoms_match_erosion_formula():

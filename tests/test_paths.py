@@ -410,7 +410,7 @@ def test_assemble_two_jumps_at_one_instant_matches_the_oracle():
     db = np.array([0.5, -0.25, 0.75, -1.0])
     cells, fracs = np.array([1, 1, 2]), np.array([0.5, 0.5, 0.25])
     sizes = np.array([1.0, 0.5, 0.125])
-    p = _assemble(db, cells, fracs, sizes, -0.5, 1.0, 0.5, 0, 0)
+    p = _assemble(db, cells, fracs, sizes, -0.5, 1.0, 0.5)
     _assert_matches_oracle(p, db, cells, fracs, sizes)
     assert p.jumps.pre_values[1] == p.jumps.pre_values[0] + 1.0
     r = time_reverse(p)

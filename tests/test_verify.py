@@ -11,6 +11,7 @@ from levyforest.mechanism import PowerLawTail
 from levyforest.paths import SimConfig, sample_path
 from levyforest.verify import (
     _NS_NOISE,
+    CheckCell,
     GridFunction2D,
     MarkBox,
     PathPool,
@@ -18,6 +19,8 @@ from levyforest.verify import (
     _cell_brownian,
     _exponent_row,
     _heights,
+    _ladder_cells,
+    _mean_cell,
     indicator_box,
     keep_heap_resident,
     run_all,
@@ -383,5 +386,51 @@ def test_direct_theorem1_run_takes_the_default_horizon():
 def test_tanaka_rejects_a_ladder_off_the_finest_step():
     # 3e-3 is 1.5 steps of 2e-3: coarsening by round(1.5) = 2 would label
     # the 4e-3 rung as 3e-3
-    with pytest.raises(PreconditionError, match="dt ladder"):
+    with pytest.raises(ConfigurationError, match="harness.dts"):
         tanaka_report(FELLER, CFG, dict(TINY, dts=[3e-3, 2e-3]), jobs=1)
+
+
+def test_run_all_rejects_a_ladder_off_the_finest_step_before_any_path(monkeypatch):
+    # 0.02 is 3.33 steps of 0.006: a config error, not a suite that does not
+    # apply, so theorem1 and tanaka are not reported as passing skips while
+    # reflected runs on the same ladder
+    calls = _count_calls(monkeypatch, ("sample_path", "cb_marginals"))
+    with pytest.raises(ConfigurationError, match="harness.dts"):
+        run_all(FELLER, CFG, dict(TINY, dts=[0.02, 0.006]), jobs=1)
+    assert calls == {"sample_path": 0, "cb_marginals": 0}
+
+
+def _two_rung_cells(coarse_dev: float, fine_dev: float) -> list[CheckCell]:
+    """The coarse rung, finest rung and order cells of a two-rung ladder
+    gated at 0.05."""
+    return _ladder_cells("dev", "dev_decrease", [2e-3, 1e-3],
+                         [({"dt": 2e-3}, coarse_dev, 0.0), ({"dt": 1e-3}, fine_dev, 0.0)],
+                         0.05, ("", "gate"))
+
+
+@pytest.mark.parametrize("cell, passed", [
+    # a gap of exactly tol passes, one ulp more fails
+    (CheckCell("mean", {}, 1.5, 1.0, 0.0, 0.5, "gap"), True),
+    (CheckCell("mean", {}, math.nextafter(1.5, 2.0), 1.0, 0.0, 0.5, "gap"), False),
+    # coverage (lower, oracle 1, tol 0.1): exactly 90% passes
+    (CheckCell("coverage", {}, 0.9, 1.0, 0.0, 0.1, "lower"), True),
+    (CheckCell("coverage", {}, math.nextafter(0.9, 0.0), 1.0, 0.0, 0.1, "lower"), False),
+    # fano factor (gap, oracle 1, tol 0.2): the closed band [0.8, 1.2]
+    *[(CheckCell("fano_factor", {}, fano, 1.0, 0.0, 0.2, "gap"), ok) for fano, ok in (
+        (0.8, True), (1.2, True), (math.nextafter(0.8, 0.0), False),
+        (math.nextafter(1.2, 2.0), False), (math.inf, False), (math.nan, False))],
+    # the order cell needs a strict decrease: equal deviations fail
+    (_two_rung_cells(0.3, 0.3)[2], False),
+    (_two_rung_cells(0.3, math.nextafter(0.3, 0.0))[2], True),
+    (CheckCell("dev_decrease", {}, 0.1, 0.0, 0.0, math.nan, "order"), False),
+    # an ungated rung (tol inf) passes on any finite deviation, fails on NaN
+    (_two_rung_cells(1e300, 0.0)[0], True),
+    (_two_rung_cells(math.nan, 0.0)[0], False),
+    # the gated finest rung (upper) passes at its tolerance, not one ulp past
+    (_two_rung_cells(0.3, 0.05)[1], True),
+    (_two_rung_cells(0.3, math.nextafter(0.05, 1.0))[1], False),
+    # a mean cell of one sample has no standard error: tol NaN
+    (_mean_cell("mean", {}, np.array([0.5]), 0.5, 0.0), False),
+])
+def test_cell_rule_at_its_edges(cell, passed):
+    assert cell.passed is passed
