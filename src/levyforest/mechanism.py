@@ -259,7 +259,7 @@ class BranchingMechanism:
 
     # -- the flow v_t(lam) ----------------------------------------------------
 
-    def v(self, t: float, lam: float, *, rtol: float = 1e-12, atol: float = 1e-13) -> float:
+    def v(self, t: float, lam: float) -> float:
         """Integrate dv/dt = -psi(v), v_0 = lam, with an embedded RK 4(5) pair.
 
         The solution decreases monotonically and stays in [0, lam]; adaptive
@@ -273,7 +273,7 @@ class BranchingMechanism:
             raise ValueError("v requires lam >= 0")
         if t == 0.0 or lam == 0.0:
             return float(lam)
-        return _integrate_flow(self.psi, t, lam, rtol, atol)
+        return _integrate_flow(self.psi, t, lam)
 
     # -- derived laws ---------------------------------------------------------
 
@@ -316,7 +316,7 @@ _RK_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _RK_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _integrate_flow(psi_fn, t_end: float, v0: float, rtol: float, atol: float) -> float:
+def _integrate_flow(psi_fn, t_end: float, v0: float) -> float:
     t = 0.0
     y = float(v0)
     psi0 = psi_fn(v0)
@@ -333,7 +333,7 @@ def _integrate_flow(psi_fn, t_end: float, v0: float, rtol: float, atol: float) -
             yi = y + h * sum(a * k[j] for j, a in enumerate(_RK_A[i]))
             k[i] = -psi_fn(max(yi, 0.0))
         err = abs(h * sum(e * k[i] for i, e in enumerate(_RK_ERR)))
-        scale = atol + rtol * abs(y)
+        scale = 1e-13 + 1e-12 * abs(y)      # absolute and relative local error targets
         if err <= scale or h <= h_min:
             y = y + h * sum(b * k[i] for i, b in enumerate(_RK_B4))
             t += h

@@ -16,9 +16,10 @@ cell builder, _mean_cell, turns a sample array into a mean-vs-oracle cell
 builds the rung and order cells of a dt ladder, and _discards counts the
 paths that miss -x.  Every suite body is a generator that writes rows =
 yield fn, spec, m where it needs per-path rows and returns its report; _suite
-makes it a report function whose plan runs every check of the suite (with the
-harness filled in from DEFAULT_HARNESS, the only copy of the defaults) before
-any path is drawn.  SUITES is the one name -> report table.
+makes it a report function whose plan runs every check of the suite before
+any path is drawn: merge_harness fills the harness in from DEFAULT_HARNESS,
+the only copy of the defaults, and checks it (the one harness check, which
+the config loader runs too).  SUITES is the one name -> report table.
 
 Per-path work lives in module-level functions, fn(spec, i) -> tuple of
 statistics of path i, which a PathPool runs either in this process over
@@ -69,6 +70,7 @@ from .mechanism import BranchingMechanism, mechanism_to_config
 from .paths import (
     LevyPath,
     SimConfig,
+    _chunk_cells,
     build_nodes,
     coarsen_path,
     node_weights,
@@ -136,10 +138,20 @@ DEFAULT_HARNESS: dict = {
 }
 
 
+_NUMERIC_LISTS = ("levels", "lambdas", "dts", "residual_levels")
+_SUB_BLOCKS = [k for k, v in DEFAULT_HARNESS.items() if isinstance(v, dict)]
+# per-suite numbers that must be finite and > 0, besides dt, horizon and t
+_POSITIVE = {"noise": ("a", "u_max", "level_width"),
+             "poisson": ("x", "level_width"),
+             "reflected": ("band_mult",)}
+
+
 def merge_harness(harness: dict) -> dict:
     """DEFAULT_HARNESS with the fields of harness in place of its own, the
-    per-suite blocks field by field; an unknown field is a
-    ConfigurationError naming it."""
+    per-suite blocks field by field, and every field checked: an unknown
+    or invalid field is a ConfigurationError naming it.  The config loader
+    and every suite's plan run this one check; a harness it has returned
+    passes through it again with the same values."""
     if not isinstance(harness, dict):
         raise ConfigurationError("harness: expected an object")
     out = copy.deepcopy(DEFAULT_HARNESS)
@@ -155,7 +167,152 @@ def merge_harness(harness: dict) -> dict:
             if sub not in out[key]:
                 raise ConfigurationError(f"harness.{key}.{sub}: unknown field")
         out[key].update(val)
+    for key in _NUMERIC_LISTS:
+        out[key] = _numbers(out[key], f"harness.{key}")
+    if not max(out["residual_levels"]) > 0.0:
+        raise ConfigurationError("harness.residual_levels: needs a level > 0")
+    out["exponent_check"]["lambdas"] = _numbers(out["exponent_check"]["lambdas"],
+                                                "harness.exponent_check.lambdas")
+    for key in ("x", "mean_budget", "laplace_budget", "oracle_alpha_offset"):
+        try:
+            out[key] = float(out[key])
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"harness.{key}: expected a number") from None
+        if not math.isfinite(out[key]):
+            raise ConfigurationError(f"harness.{key}: must be finite")
+    out["paths"] = _path_count(out["paths"], "harness.paths")
+    if out["x"] < 0:
+        raise ConfigurationError("harness.x: must be >= 0")
+    if not (isinstance(out["out_dir"], str) and out["out_dir"]):
+        raise ConfigurationError("harness.out_dir: expected a directory name")
+    if out["level_width"] is not None:
+        out["level_width"] = _number(out["level_width"], "harness.level_width")
+    for block in _SUB_BLOCKS:
+        _validate_sizes(block, out[block])
+    _validate_dts(out)
+    if out["noise"]["f"] is not None:
+        out["noise"]["f"] = _grid_function(out["noise"]["f"], "harness.noise.f")
+    if not (isinstance(out["boxes"], list) and out["boxes"]):
+        raise ConfigurationError("harness.boxes: expected a non-empty list of boxes")
+    for i, box in enumerate(out["boxes"]):
+        for axis in ("a", "z", "u"):
+            rng = box.get(axis) if isinstance(box, dict) else None
+            if (not isinstance(rng, (list, tuple)) or len(rng) != 2
+                    or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in rng)
+                    or not rng[0] < rng[1]):
+                raise ConfigurationError(
+                    f"harness.boxes[{i}].{axis}: expected finite [lo, hi] with lo < hi")
     return out
+
+
+def _number(val, name: str) -> float:
+    """A finite number > 0."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name}: expected a number") from None
+    if not (math.isfinite(num) and num > 0.0):
+        raise ConfigurationError(f"{name}: must be finite and > 0")
+    return num
+
+
+def _numbers(val, name: str) -> list[float]:
+    """A non-empty list of finite numbers >= 0 (levels, Laplace arguments,
+    steps)."""
+    try:
+        nums = [float(v) for v in val]
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name}: expected a list of numbers") from None
+    if not nums:
+        raise ConfigurationError(f"{name}: must not be empty")
+    if not all(math.isfinite(v) and v >= 0.0 for v in nums):
+        raise ConfigurationError(f"{name}: expected finite numbers >= 0")
+    return nums
+
+
+def _path_count(val, name: str) -> int:
+    """A whole number of paths > 1."""
+    paths = _number(val, name)
+    if not paths.is_integer() or paths <= 1:
+        raise ConfigurationError(f"{name}: expected an integer > 1")
+    return int(paths)
+
+
+def _validate_sizes(block: str, sub: dict) -> None:
+    """Path counts, steps, horizons and other positive numbers of one
+    per-suite block; a block's t is a whole number of its dt steps."""
+    for key in ("dt", "horizon", "t") + _POSITIVE.get(block, ()):
+        if key in sub:
+            sub[key] = _number(sub[key], f"harness.{block}.{key}")
+    if "paths" in sub:
+        sub["paths"] = _path_count(sub["paths"], f"harness.{block}.paths")
+    end = "horizon" if "horizon" in sub else "t"
+    if "dt" in sub and end in sub and not sub[end] > sub["dt"]:
+        raise ConfigurationError(
+            f"harness.{block}.{end}: must exceed harness.{block}.dt")
+    if ("dt" in sub and "t" in sub
+            and abs(math.remainder(sub["t"], sub["dt"])) > 1e-9 * sub["dt"]):
+        raise ConfigurationError(f"harness.{block}.t: must be a whole number of dt steps")
+
+
+def _validate_dts(out: dict) -> None:
+    """The dt ladder shared by theorem1, tanaka and reflected: every rung a
+    whole number of finest steps that coarsen_path can apply to the
+    theorem1 grid, its stopped prefixes and the tanaka grid."""
+    dts = out["dts"]                    # finite numbers >= 0 by now
+    if not min(dts) > 0.0:
+        raise ConfigurationError("harness.dts: steps must be finite and > 0")
+    fine, coarse = min(dts), max(dts)
+    for block, key in (("theorem1", "horizon"), ("tanaka", "t")):
+        if not out[block][key] > fine:
+            raise ConfigurationError(
+                f"harness.{block}.{key}: must exceed the finest harness.dts step")
+    if not out["reflected"]["t"] > coarse:
+        raise ConfigurationError(
+            "harness.reflected.t: must exceed the largest harness.dts step")
+    stopped = SimConfig(dt=fine, horizon=out["theorem1"]["horizon"])
+    grids = {"theorem1 grid": stopped.n_cells,
+             "theorem1 stopped-path chunk": _chunk_cells(stopped),
+             "tanaka grid": int(round(out["tanaka"]["t"] / fine))}
+    for d in dts:
+        ratio = int(round(d / fine))
+        if abs(ratio * fine - d) > 1e-12:
+            raise ConfigurationError(
+                f"harness.dts: {d} is not a whole multiple of the finest step {fine}")
+        for what, cells in grids.items():
+            if cells % ratio:
+                raise ConfigurationError(
+                    f"harness.dts: {d} spans {ratio} finest steps, which do not "
+                    f"divide the {what} of {cells} cells")
+
+
+def _grid_function(obj, name: str) -> GridFunction2D:
+    """{"s_edges", "u_edges", "values"} as a piecewise-constant f(s, u);
+    a GridFunction2D as it is."""
+    if isinstance(obj, GridFunction2D):
+        return obj
+    keys = ("s_edges", "u_edges", "values")
+    if not isinstance(obj, dict) or sorted(obj) != sorted(keys):
+        raise ConfigurationError(
+            f"{name}: expected an object with s_edges, u_edges and values")
+    arrays = {}
+    for key in keys:
+        try:
+            arrays[key] = np.array(obj[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{name}.{key}: expected numbers") from None
+        if not np.isfinite(arrays[key]).all():
+            raise ConfigurationError(f"{name}.{key}: must be finite")
+    for key in keys[:2]:
+        edges = arrays[key]
+        if edges.ndim != 1 or len(edges) < 2 or not (np.diff(edges) > 0.0).all():
+            raise ConfigurationError(
+                f"{name}.{key}: expected at least two strictly increasing edges")
+    shape = (len(arrays["s_edges"]) - 1, len(arrays["u_edges"]) - 1)
+    if arrays["values"].shape != shape:
+        raise ConfigurationError(
+            f"{name}.values: expected {shape[0]} rows of {shape[1]} values")
+    return GridFunction2D(arrays["s_edges"], arrays["u_edges"], arrays["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +568,24 @@ _REQUIREMENTS = {
 def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
     """Make the suite body, a generator suite(mech, cfg, harness, oracle)
     that yields path jobs (fn, spec, m) and is sent pool.map(fn, spec, m)
-    for each, into the report function (mech, cfg, harness, oracle=None, *,
-    jobs=1, pool=None), which runs the jobs on pool, or on its own pool of
-    jobs workers, and appends the path-exponent cells.  Its plan(mech, cfg,
-    harness, oracle=None) draws no path: it checks the preconditions in the
-    order given (requires maps names in _REQUIREMENTS to messages; fixed_mech
-    replaces the caller's mechanism), fills the harness in, shifts the
-    oracle's drift, runs the body to its first job and plans the exponent.
+    for each, into the report function (mech, cfg, harness, *, jobs=1,
+    pool=None), which runs the jobs on pool, or on its own pool of jobs
+    workers, and appends the path-exponent cells.  Its plan(mech, cfg,
+    harness) draws no path: it checks the preconditions in the order given
+    (requires maps names in _REQUIREMENTS to messages; fixed_mech replaces
+    the caller's mechanism), fills the harness in and checks it, shifts the
+    oracle's drift by harness.oracle_alpha_offset, runs the body to its
+    first job and plans the exponent.
     """
     def wrap(suite):
-        def plan(mech, cfg, harness, oracle=None) -> tuple:
+        def plan(mech, cfg, harness) -> tuple:
             mech = fixed_mech or mech
             for need, message in requires.items():
                 if not _REQUIREMENTS[need](mech):
                     raise PreconditionError(message)
             h = merge_harness(harness)
-            if oracle is None:
-                offset = h["oracle_alpha_offset"]
-                oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
+            offset = h["oracle_alpha_offset"]
+            oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
             steps = suite(mech, cfg, h, oracle)
             job = next(steps)                       # the body's checks run here
             echo = {"mechanism": mechanism_to_config(mech), "sim": sim_config_to_config(cfg),
@@ -436,10 +593,9 @@ def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
             return steps, job, echo, _exponent_plan(mech, oracle, cfg, h["exponent_check"])
 
         @functools.wraps(suite)
-        def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
-                oracle: BranchingMechanism | None = None, *, jobs: int = 1,
-                pool: PathPool | None = None) -> MonteCarloReport:
-            steps, job, echo, exponent = plan(mech, cfg, harness, oracle)
+        def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict, *,
+                jobs: int = 1, pool: PathPool | None = None) -> MonteCarloReport:
+            steps, job, echo, exponent = plan(mech, cfg, harness)
             with contextlib.nullcontext(pool) if pool else PathPool(jobs) as pool:
                 try:
                     while True:
@@ -647,9 +803,6 @@ def _ladder(cfg: SimConfig, harness: dict, levels, horizon: float):
     dts = sorted(harness["dts"], reverse=True)
     fine_dt = dts[-1]
     ratios = [int(round(d / fine_dt)) for d in dts]
-    if any(abs(r * fine_dt - d) > 1e-12 for r, d in zip(ratios, dts)):
-        raise ConfigurationError(
-            f"harness.dts: each step must be a whole multiple of the finest, {fine_dt}")
     base = min(a for a in levels if a > 0.0)
     widths = []
     div = 0
@@ -1008,20 +1161,19 @@ def _brownian_example(mech, cfg, harness, oracle):
         config_echo={"t": t_end, "dt": dt})
 
 
-def brownian_example_report(cfg: SimConfig, harness: dict,
-                            oracle: BranchingMechanism | None = None, *,
-                            jobs: int = 1, pool: PathPool | None = None) -> MonteCarloReport:
+def brownian_example_report(cfg: SimConfig, harness: dict, *, jobs: int = 1,
+                            pool: PathPool | None = None) -> MonteCarloReport:
     """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
     is distributed like twice the absolute value of a Gaussian with variance
     t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
-    return _brownian_example(None, cfg, harness, oracle, jobs=jobs, pool=pool)
+    return _brownian_example(None, cfg, harness, jobs=jobs, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
 
-# every report function here takes (mech, cfg, harness, oracle=None, *, jobs, pool)
+# every report function here takes (mech, cfg, harness, *, jobs, pool)
 SUITES = {
     "ray-knight": ray_knight_report,
     "theorem1": theorem1_report,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PreconditionError
+from levyforest.config import run_config_from_dict
 from levyforest.local_time import level_bins, occupation_profile, running_local_time
 from levyforest.mechanism import PowerLawTail
 from levyforest.paths import SimConfig, sample_path
@@ -390,13 +391,32 @@ def test_tanaka_rejects_a_ladder_off_the_finest_step():
         tanaka_report(FELLER, CFG, dict(TINY, dts=[3e-3, 2e-3]), jobs=1)
 
 
-def test_run_all_rejects_a_ladder_off_the_finest_step_before_any_path(monkeypatch):
+@pytest.mark.parametrize("edit,field", [
     # 0.02 is 3.33 steps of 0.006: a config error, not a suite that does not
     # apply, so theorem1 and tanaka are not reported as passing skips while
     # reflected runs on the same ladder
+    ({"dts": [0.02, 0.006]}, "harness.dts"),
+    # 3 finest steps do not divide theorem1's stopped-path chunk of 1024 cells
+    ({"dts": [3e-3, 1e-3]}, "harness.dts"),
+    # 2000.2 steps: the paths would end at t = 1.0 in cells labelled 1.0001
+    ({"example": dict(TINY["example"], t=1.0001)}, "harness.example.t"),
+    # 200.4 steps: X at t = 2.0 would be compared with the law at t = 2.004
+    ({"exponent_check": dict(TINY["exponent_check"], t=2.004)}, "harness.exponent_check.t"),
+    ({"tanaka": dict(TINY["tanaka"], paths=1)}, "harness.tanaka.paths"),
+    # no path-exponent cell would leave tanaka, reflected and example with no
+    # cell that reads the oracle
+    ({"exponent_check": dict(TINY["exponent_check"], lambdas=[])},
+     "harness.exponent_check.lambdas"),
+])
+def test_run_all_rejects_what_the_loader_rejects_before_any_path(monkeypatch, edit, field):
+    h = dict(TINY, **edit)
+    with pytest.raises(ConfigurationError) as loaded:
+        run_config_from_dict({"harness": h})
+    assert str(loaded.value).startswith(f"{field}: ")
     calls = _count_calls(monkeypatch, ("sample_path", "cb_marginals"))
-    with pytest.raises(ConfigurationError, match="harness.dts"):
-        run_all(FELLER, CFG, dict(TINY, dts=[0.02, 0.006]), jobs=1)
+    with pytest.raises(ConfigurationError) as planned:
+        run_all(FELLER, CFG, h, jobs=1)
+    assert str(planned.value) == str(loaded.value)
     assert calls == {"sample_path": 0, "cb_marginals": 0}
 
 
