@@ -13,7 +13,7 @@ from levyforest import (
     mechanism_from_config,
     mechanism_to_config,
 )
-from levyforest.mechanism import _tail_compensator
+from levyforest.mechanism import _SERIES_SEAM, _tail_compensator
 
 FELLER = BranchingMechanism(0.0, 1.0)
 LINEAR = BranchingMechanism(1.0, 0.0)
@@ -93,10 +93,41 @@ def test_tail_compensator_at_zero_closed_form():
 
 
 def test_tail_compensator_branch_continuity():
-    for sigma in (1.05, 1.5, 1.95):
-        lo = _tail_compensator(0.5, sigma)
-        hi = _tail_compensator(0.5 + 1e-12, sigma)
-        assert lo == pytest.approx(hi, rel=1e-10)
+    for seam in (0.5, _SERIES_SEAM):
+        for sigma in (1.05, 1.5, 1.95):
+            lo = _tail_compensator(seam, sigma)
+            hi = _tail_compensator(seam + 1e-12, sigma)
+            assert lo == pytest.approx(hi, rel=1e-10)
+
+
+def reference_tail_compensator(x: float, sigma: float) -> float:
+    """The tail compensator as scipy's regularised gammaincc gives it: the
+    series up to x = 0.5, then Gamma(-sigma, x) descended from Gamma(2-sigma, x)
+    by Gamma(a, x) = (Gamma(a+1, x) - x**a e^-x) / a."""
+    from scipy.special import gammaincc
+
+    if x <= 0.5:
+        acc, term_fact = 0.0, -1.0
+        for k in range(2, 26):
+            term_fact *= -1.0 / k
+            contrib = term_fact * x ** (k - sigma) / (k - sigma)
+            acc += contrib
+            if abs(contrib) < 1e-17 * (1.0 + abs(acc)):
+                break
+        return math.gamma(2.0 - sigma) / (sigma * (sigma - 1.0)) - acc
+    a = -sigma
+    g = gammaincc(a + 2.0, x) * math.gamma(a + 2.0)
+    g = (g - x ** (a + 1.0) * math.exp(-x)) / (a + 1.0)
+    g = (g - x ** a * math.exp(-x)) / a
+    return g - x ** (-sigma) / sigma + x ** (1.0 - sigma) / (sigma - 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1.01, 1.05, 1.3, 1.5, 1.7, 1.95, 1.99])
+def test_tail_compensator_matches_scipy_incomplete_gamma(sigma):
+    xs = [*np.geomspace(1e-3, 1e4, 200), _SERIES_SEAM - 1e-12, _SERIES_SEAM + 1e-12]
+    for x in map(float, xs):
+        assert _tail_compensator(x, sigma) == pytest.approx(
+            reference_tail_compensator(x, sigma), rel=1e-13, abs=0.0), x
 
 
 # -- the flow v_t(lam) -------------------------------------------------------
