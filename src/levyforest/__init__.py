@@ -6,7 +6,7 @@ matching continuous-state branching flows, and statistically cross-checks the
 local-time laws of stopped paths against the exact branching-process oracles.
 """
 
-from .cb_flow import simulate_cb, simulate_flow
+from .cb_flow import simulate_cb
 from .errors import ConfigurationError, PreconditionError
 from .exploration import ExplorationStack, height_trajectory
 from .mechanism import (
@@ -32,5 +32,4 @@ __all__ = [
     "sample_path",
     "height_trajectory",
     "simulate_cb",
-    "simulate_flow",
 ]

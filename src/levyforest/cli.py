@@ -24,6 +24,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .cb_flow import simulate_cb
 from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, PreconditionError
@@ -116,7 +118,9 @@ def _csv(out: str, name: str, write, *args) -> None:
 def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
     mech, cfg = run.mechanism, run.sim
     if kind == "cb":
-        _csv(out, "cb.csv", simulate_cb(mech, run.harness["x"], cfg).write_csv)
+        values = simulate_cb(mech, run.harness["x"], cfg)
+        _csv(out, "cb.csv", write_csv, ["time", "value"],
+             np.arange(len(values)) * cfg.dt, values)
         _write_sidecar(out, "cb", run)
         return EXIT_OK
     path = sample_path(mech, cfg)

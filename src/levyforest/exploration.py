@@ -22,9 +22,7 @@ Two engines compute the same trajectory:
                    with vectorized running minima, O(#jumps * #nodes).
 
 They agree to floating-point accuracy; the direct formula is kept as the
-independent oracle for the sweep (height_trajectory engine "scan").  A
-snapshot of the stack at a grid time (stack_at) is the state the sweep ends
-in on that prefix of the path.
+independent oracle for the sweep (height_trajectory engine "scan").
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .paths import LevyPath, Nodes, build_nodes, grid_step, node_prefix
+from .paths import LevyPath, Nodes, build_nodes
 
 __all__ = [
     "ExplorationStack",
@@ -228,7 +226,9 @@ def _sweep_jumps(vals, inf0, jump_post, beta, height, final) -> ExplorationStack
 
 def direct_height(nodes: Nodes, beta: float) -> HeightScan:
     """The same HeightScan from the pathwise identity, O(jumps * nodes);
-    the independent oracle for scan_height."""
+    the independent oracle for scan_height, run through height_trajectory's
+    "scan" engine by acceptance criterion 02, the benchmark's check (b) and
+    its engine ladder."""
     if beta <= 0.0:
         raise PreconditionError("height computation requires beta > 0")
     vals = nodes.values
@@ -255,7 +255,11 @@ def direct_height(nodes: Nodes, beta: float) -> HeightScan:
 def height_trajectory(path: LevyPath, engine: str = "stack") -> np.ndarray:
     """H at the grid times of a path.  engine: "stack" (the exploration-stack
     sweep, scan_height) or "scan" (the direct formula, direct_height); they
-    agree to ~1e-12."""
+    agree to ~1e-12.  Acceptance criterion 02 and the benchmark's check (b)
+    compare the two engines through it, and its engine ladder times both.
+    The labels are swapped against the function names (the sweep is
+    scan_height) and kept, because the benchmark's per-layer metric names
+    exploration.height_ms.{scan,stack}.* are built from them."""
     if path.beta_eff <= 0.0:
         raise PreconditionError(
             "height trajectory requires a diffusion part (beta > 0, possibly "
@@ -268,11 +272,3 @@ def height_trajectory(path: LevyPath, engine: str = "stack") -> np.ndarray:
         raise ValueError("engine must be 'scan' or 'stack'")
     return compute(build_nodes(path), path.beta_eff).grid_height()
 
-
-def stack_at(path: LevyPath, t: float) -> tuple[ExplorationStack, float]:
-    """Exploration stack and running infimum after the path up to grid time
-    t: the state scan_height's sweep ends in on that prefix of the nodes."""
-    m = grid_step(path, t)
-    nodes = build_nodes(path)
-    scan = scan_height(node_prefix(nodes, int(nodes.grid_index[m]) + 1), path.beta_eff)
-    return scan.stack, float(scan.infimum[-1])

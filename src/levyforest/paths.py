@@ -37,10 +37,7 @@ __all__ = [
     "path_stream",
     "sample_path",
     "coarsen_path",
-    "supremum_process",
-    "reflected_process",
     "time_reverse",
-    "hitting_time",
     "node_weights",
     "build_nodes",
     "node_prefix",
@@ -466,25 +463,6 @@ def coarsen_path(path: LevyPath, ratio: int) -> LevyPath:
 # ---------------------------------------------------------------------------
 # path functionals
 # ---------------------------------------------------------------------------
-
-def supremum_process(path: LevyPath) -> np.ndarray:
-    """Running supremum at grid times, intra-cell jump peaks included."""
-    nodes = build_nodes(path)
-    s = np.maximum.accumulate(nodes.values)
-    return s[nodes.grid_index]
-
-
-def reflected_process(path: LevyPath) -> np.ndarray:
-    """R = S - xi >= 0 at grid times."""
-    return supremum_process(path) - path.values
-
-
-def hitting_time(path: LevyPath, x: float) -> float | None:
-    """First time the path reaches -x, linearly interpolated inside the
-    crossing segment; None if the horizon is exhausted first."""
-    cut = truncate_at_level(build_nodes(path), x)
-    return None if cut is None else cut[1]
-
 
 def grid_step(path: LevyPath, t: float) -> int:
     """The step k of the grid time t = k * dt in [0, horizon]; ValueError for

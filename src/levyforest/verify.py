@@ -1130,10 +1130,9 @@ def reflected_supremum_report(mech, cfg, harness, oracle):
 # ---------------------------------------------------------------------------
 
 def _example_row(spec, i: int) -> tuple:
-    """Height at the end of path i, (final value - running minimum) / beta."""
+    """Height at the end of path i, from the shared per-path stage."""
     mech, cfg = spec
-    v = sample_path(mech, cfg, path_index=_NS_EXAMPLE + i).values
-    return ((v[-1] - v.min()) / mech.beta,)
+    return (_heights(sample_path(mech, cfg, path_index=_NS_EXAMPLE + i))[1].height[-1],)
 
 
 @_suite(fixed_mech=BranchingMechanism(alpha=0.0, beta=0.5))

@@ -5,26 +5,37 @@ import numpy as np
 import pytest
 
 from levyforest import BranchingMechanism, JumpMeasure
-from levyforest.cb_flow import cb_marginals, simulate_cb, simulate_flow
-from levyforest.paths import SimConfig
+from levyforest.cb_flow import cb_marginals, simulate_cb
+from levyforest.paths import SimConfig, write_csv
 
 FELLER = BranchingMechanism(0.5, 1.0)
 FELLER0 = BranchingMechanism(0.0, 1.0)
 JUMPY = BranchingMechanism(0.5, 0.5, JumpMeasure(atoms=((1.0, 0.5),)))
 
 
+def _flow(mech, xs, cfg) -> np.ndarray:
+    """Coupled trajectories from ascending initial masses x_1 <= ... <= x_k,
+    one row each: row i sums the independent layers simulate_cb(x_j - x_{j-1})
+    for j <= i, layer j on stream 2 + j.  The flow in the initial mass has
+    independent increments, so the rows have the right joint law and stay
+    ordered at every step (a shared-Gaussian Euler coupling can flip the
+    order near absorption).  A negative layer raises ValueError."""
+    layers = [xs[0]] + [b - a for a, b in zip(xs, xs[1:])]
+    return np.cumsum([simulate_cb(mech, y, cfg, stream_index=2 + j)
+                      for j, y in enumerate(layers)], axis=0)
+
+
 def test_zero_mass_is_absorbing():
     t = simulate_cb(FELLER, 0.0, SimConfig(dt=1e-3, horizon=1.0, seed=1))
-    assert np.all(t.values == 0.0)
-    assert t.jump_log == ()
+    assert np.all(t == 0.0)
 
 
 def test_absorption_is_permanent_and_values_nonnegative():
     t = simulate_cb(FELLER, 0.05, SimConfig(dt=1e-3, horizon=8.0, seed=5))
-    assert (t.values >= 0.0).all()
-    zeros = np.flatnonzero(t.values == 0.0)
+    assert (t >= 0.0).all()
+    zeros = np.flatnonzero(t == 0.0)
     if len(zeros):
-        assert np.all(t.values[zeros[0]:] == 0.0)
+        assert np.all(t[zeros[0]:] == 0.0)
 
 
 def test_mean_decay():
@@ -69,14 +80,14 @@ def test_branching_additivity_via_laplace_product():
 
 
 def test_flow_is_pathwise_monotone():
-    fl = simulate_flow(JUMPY, [0.5, 1.0, 2.0], SimConfig(dt=1e-3, horizon=1.0, seed=21))
-    assert np.all(np.diff(fl.values, axis=0) >= 0.0)
-    assert (fl.values >= 0.0).all()
+    fl = _flow(JUMPY, [0.5, 1.0, 2.0], SimConfig(dt=1e-3, horizon=1.0, seed=21))
+    assert np.all(np.diff(fl, axis=0) >= 0.0)
+    assert (fl >= 0.0).all()
 
 
 def test_flow_equal_masses_identical_trajectories():
-    fl = simulate_flow(FELLER, [1.0, 1.0], SimConfig(dt=1e-3, horizon=1.0, seed=2))
-    assert np.array_equal(fl.values[0], fl.values[1])
+    fl = _flow(FELLER, [1.0, 1.0], SimConfig(dt=1e-3, horizon=1.0, seed=2))
+    assert np.array_equal(fl[0], fl[1])
 
 
 def test_flow_increment_law():
@@ -84,9 +95,8 @@ def test_flow_increment_law():
     m = 800
     diffs = np.empty(m)
     for i in range(m):
-        fl = simulate_flow(JUMPY, [1.0, 2.0],
-                           SimConfig(dt=2e-3, horizon=1.0, seed=5000 + i))
-        diffs[i] = fl.values[1, -1] - fl.values[0, -1]
+        fl = _flow(JUMPY, [1.0, 2.0], SimConfig(dt=2e-3, horizon=1.0, seed=5000 + i))
+        diffs[i] = fl[1, -1] - fl[0, -1]
     lp = np.exp(-lam * diffs)
     exact = math.exp(-1.0 * JUMPY.v(t, lam))
     se = lp.std(ddof=1) / math.sqrt(m)
@@ -96,30 +106,17 @@ def test_flow_increment_law():
 def test_flow_rejects_bad_masses():
     cfg = SimConfig(dt=1e-3, horizon=1.0, seed=1)
     with pytest.raises(ValueError):
-        simulate_flow(FELLER, [2.0, 1.0], cfg)
+        _flow(FELLER, [2.0, 1.0], cfg)
     with pytest.raises(ValueError):
-        simulate_flow(FELLER, [-1.0, 1.0], cfg)
+        _flow(FELLER, [-1.0, 1.0], cfg)
     with pytest.raises(ValueError):
         simulate_cb(FELLER, -0.5, cfg)
 
 
-def test_trajectory_and_ensemble_csv():
+def test_trajectory_csv():
     t = simulate_cb(JUMPY, 1.0, SimConfig(dt=0.01, horizon=0.5, seed=4))
     buf = io.StringIO()
-    t.write_csv(buf)
+    write_csv(buf, ["time", "value"], np.arange(len(t)) * 0.01, t)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "time,value"
     assert len(lines) == 52
-    fl = simulate_flow(FELLER, [0.5, 1.0], SimConfig(dt=0.01, horizon=0.5, seed=4))
-    buf = io.StringIO()
-    fl.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "time,x0,value"
-    assert len(lines) == 1 + 2 * 51
-
-
-def test_jump_log_records_applied_jumps():
-    t = simulate_cb(JUMPY, 5.0, SimConfig(dt=1e-3, horizon=2.0, seed=6))
-    for when, size in t.jump_log:
-        assert size == 1.0
-        assert 0.0 < when <= 2.0

@@ -131,6 +131,7 @@ def test_simulate_height_with_only_the_corrected_diffusion(tmp_path):
 
 
 def test_every_simulated_csv_parses(tmp_path):
+    from levyforest.cb_flow import simulate_cb
     from levyforest.cli import main
     from levyforest.config import load_run_config
     from levyforest.exploration import height_trajectory, scan_height
@@ -153,6 +154,9 @@ def test_every_simulated_csv_parses(tmp_path):
         tables[name] = [[float(v) for v in row] for row in rows[1:]]
         assert tables[name], name
     run = load_run_config(cfg)
+    # cb.csv: the grid times k * dt and the trajectory from harness.x
+    values = simulate_cb(run.mechanism, run.harness["x"], run.sim)
+    assert tables["cb"] == [[k * run.sim.dt, v] for k, v in enumerate(values.tolist())]
     path = sample_path(run.mechanism, run.sim)
     assert [h for _, h in tables["height"]] == height_trajectory(path).tolist()
     # local_time.csv: one row per vertex above 0, its bin's left edge and the

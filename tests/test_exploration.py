@@ -14,7 +14,6 @@ from levyforest.exploration import (
     direct_height,
     height_trajectory,
     scan_height,
-    stack_at,
 )
 from levyforest.local_time import tanaka_local_time
 from levyforest.mechanism import PowerLawTail
@@ -24,6 +23,7 @@ from levyforest.paths import (
     Nodes,
     SimConfig,
     build_nodes,
+    grid_step,
     node_prefix,
     sample_path,
     time_reverse,
@@ -372,12 +372,21 @@ def test_height_requires_beta():
         height_trajectory(p)
 
 
+def _stack_at(p: LevyPath, t: float) -> tuple[ExplorationStack, float]:
+    """Exploration stack and running infimum after the path up to grid time
+    t: the state scan_height's sweep ends in on that prefix of the nodes."""
+    nodes = build_nodes(p)
+    scan = scan_height(node_prefix(nodes, int(nodes.grid_index[grid_step(p, t)]) + 1),
+                       p.beta_eff)
+    return scan.stack, float(scan.infimum[-1])
+
+
 def test_mass_identity_along_a_path():
     p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=5), path_index=1)
     nodes = build_nodes(p)
     run_min = np.minimum.accumulate(nodes.values)
     for t in (0.5, 1.0, 1.5, 2.0):
-        stack, inf0 = stack_at(p, t)
+        stack, inf0 = _stack_at(p, t)
         k = int(round(t / p.dt))
         node_idx = int(nodes.grid_index[k])
         xi = p.values[k]
@@ -392,12 +401,12 @@ def test_stack_at_the_first_grid_times():
     signs = set()
     for i in range(20):
         p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=1.0, seed=5), path_index=i)
-        stack, inf0 = stack_at(p, 0.0)
+        stack, inf0 = _stack_at(p, 0.0)
         assert stack.records() == [] and inf0 == 0.0
         assert stack.height == 0.0 and stack.total_mass == 0.0
         if (p.jumps.cells == 0).any():
             continue
-        stack, inf0 = stack_at(p, p.dt)
+        stack, inf0 = _stack_at(p, p.dt)
         xi = float(p.values[1])
         signs.add(xi > 0.0)
         if xi > 0.0:
@@ -417,11 +426,11 @@ def test_snapshot_decomposition():
         mech = JUMPY if i % 2 else FELLER
         p = sample_path(mech, SimConfig(dt=2e-3, horizon=2.0, seed=71), path_index=i)
         t_cut, t_end = 1.0, 2.0
-        full, _ = stack_at(p, t_end)
+        full, _ = _stack_at(p, t_end)
 
-        snap, _ = stack_at(p, t_cut)
+        snap, _ = _stack_at(p, t_cut)
         suffix = _suffix_path(p, t_cut)
-        suf_stack, suf_inf0 = stack_at(suffix, t_end - t_cut)
+        suf_stack, suf_inf0 = _stack_at(suffix, t_end - t_cut)
         combined = _concatenate(_truncate(snap, -suf_inf0), suf_stack)
 
         rng_fail = max(rng_fail, abs(combined.total_mass - full.total_mass),
@@ -444,7 +453,7 @@ def test_surviving_atoms_match_erosion_formula():
     for i in range(10):
         p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=13), path_index=i)
         sc = direct_height(build_nodes(p), p.beta_eff)
-        stack, _ = stack_at(p, p.horizon)
+        stack, _ = _stack_at(p, p.horizon)
         atom_masses = sorted(r["mass"] for r in stack.records() if r["kind"] == "atom")
         live = sorted(v for v in sc.final_erosion if v > 1e-12)
         assert len(atom_masses) == len(live)
@@ -483,7 +492,7 @@ def test_per_event_replay_matches_stack_at():
         for i in range(3):
             p = sample_path(mech, cfg, path_index=i)
             for t in (0.5, 1.0, 1.7, 2.0):
-                snap, inf_snap = stack_at(p, t)
+                snap, inf_snap = _stack_at(p, t)
                 ref, inf_ref = _replay(p, t)
                 assert snap.height == pytest.approx(ref.height, abs=1e-9)
                 assert snap.total_mass == pytest.approx(ref.total_mass, abs=1e-9)
@@ -500,7 +509,7 @@ def test_height_nonnegative_and_zero_only_when_empty():
     p = sample_path(FELLER, SimConfig(dt=1e-3, horizon=1.0, seed=17), path_index=0)
     h = height_trajectory(p)
     assert (h >= 0.0).all()
-    stack, _ = stack_at(p, 1.0)
+    stack, _ = _stack_at(p, 1.0)
     if stack.height == 0.0:
         assert stack.total_mass == 0.0
 

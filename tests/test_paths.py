@@ -8,7 +8,7 @@ import pytest
 
 from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, PowerLawTail
 from levyforest import paths
-from levyforest.exploration import stack_at
+from levyforest.exploration import scan_height
 from levyforest.paths import (
     _assemble,
     JumpSet,
@@ -17,13 +17,11 @@ from levyforest.paths import (
     build_nodes,
     coarsen_path,
     grid_step,
-    hitting_time,
+    node_prefix,
     path_stream,
-    reflected_process,
     sample_path,
     sim_config_from_config,
     sim_config_to_config,
-    supremum_process,
     time_reverse,
     truncate_at_level,
     write_jumps_csv,
@@ -218,10 +216,29 @@ def test_power_law_to_zero_requires_truncation():
         sample_path(mech, SimConfig(dt=1e-3, horizon=1.0, seed=1))
 
 
+def _supremum(p: LevyPath) -> np.ndarray:
+    """Running supremum at the grid times, intra-cell jump peaks included."""
+    nodes = build_nodes(p)
+    return np.maximum.accumulate(nodes.values)[nodes.grid_index]
+
+
+def _stack_at(p: LevyPath, t: float):
+    """The exploration stack after the path up to grid time t."""
+    nodes = build_nodes(p)
+    return scan_height(node_prefix(nodes, int(nodes.grid_index[grid_step(p, t)]) + 1),
+                       p.beta_eff).stack
+
+
+def _hitting_time(p: LevyPath, x: float) -> float | None:
+    """First time the path reaches -x; None if the horizon comes first."""
+    cut = truncate_at_level(build_nodes(p), x)
+    return None if cut is None else cut[1]
+
+
 def test_supremum_sawtooth():
     p = make_path([0.0, 1.0, -1.0, 2.0])
-    assert np.array_equal(supremum_process(p), [0.0, 1.0, 1.0, 2.0])
-    assert (reflected_process(p) >= 0.0).all()
+    assert np.array_equal(_supremum(p), [0.0, 1.0, 1.0, 2.0])
+    assert (_supremum(p) - p.values >= 0.0).all()
 
 
 def test_supremum_includes_intra_cell_jump_top():
@@ -232,7 +249,7 @@ def test_supremum_includes_intra_cell_jump_top():
     p = LevyPath(dt=1.0, values=np.array([0.0, 1.0, 2.5]),
                  brownian_increments=np.array([1.0, -0.5]), jumps=jumps,
                  applied_drift=0.0, gaussian_coeff=1.0)
-    s = supremum_process(p)
+    s = _supremum(p)
     assert np.array_equal(s, [0.0, 1.0, 2.75])
     # jump increment of the supremum: (xi_{t_i} - S_{t_i-})^+
     nodes = build_nodes(p)
@@ -242,7 +259,7 @@ def test_supremum_includes_intra_cell_jump_top():
 
 
 @pytest.mark.parametrize("t", [-0.5, 0.30005, 2.5], ids=["negative", "off-grid", "past-horizon"])
-@pytest.mark.parametrize("call", [time_reverse, stack_at], ids=["time_reverse", "stack_at"])
+@pytest.mark.parametrize("call", [time_reverse, _stack_at], ids=["time_reverse", "stack_at"])
 def test_times_off_the_grid_are_rejected(call, t):
     p = sample_path(JUMPY, SimConfig(dt=1e-2, horizon=2.0, seed=3), path_index=1)
     assert (grid_step(p, 0.0), grid_step(p, 0.3), grid_step(p, 2.0)) == (0, 30, 200)
@@ -276,9 +293,9 @@ def test_time_reverse_endpoints_and_increments():
 def test_hitting_time_pure_drift_exact():
     drift = BranchingMechanism(1.0, 0.0)
     p = sample_path(drift, SimConfig(dt=1e-3, horizon=2.0, seed=0))
-    assert hitting_time(p, 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert hitting_time(p, 0.0) == 0.0
-    assert hitting_time(p, 5.0) is None
+    assert _hitting_time(p, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert _hitting_time(p, 0.0) == 0.0
+    assert _hitting_time(p, 5.0) is None
 
 
 def test_hitting_time_mean_matches_optional_stopping():
@@ -287,7 +304,7 @@ def test_hitting_time_mean_matches_optional_stopping():
     taus = []
     for i in range(m):
         p = sample_path(FELLER, cfg, path_index=i, stop_level=1.0)
-        tau = hitting_time(p, 1.0)
+        tau = _hitting_time(p, 1.0)
         if tau is not None:
             taus.append(tau)
     taus = np.array(taus)

@@ -11,6 +11,7 @@ from levyforest.local_time import level_bins, occupation_profile, running_local_
 from levyforest.mechanism import PowerLawTail
 from levyforest.paths import SimConfig, sample_path
 from levyforest.verify import (
+    _NS_EXAMPLE,
     _NS_NOISE,
     CheckCell,
     GridFunction2D,
@@ -189,6 +190,29 @@ def test_noise_row_binning_its_levels_matches_binning_every_vertex():
     steps.close()
     for i in range(m):
         got, want = row(spec, i), _noise_row_binning_every_vertex(spec, i)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [np.asarray(v).tobytes() for v in got] \
+            == [np.asarray(v).tobytes() for v in want], i
+
+
+# -- the example row reads the shared height stage ------------------------------
+
+def _example_row_by_reflection(spec, i: int) -> tuple:
+    """The example row by the reflected-path formula of a jump-free path,
+    H_t = (xi_t - inf_{[0,t]} xi) / beta, without nodes or sweep: the
+    _example_row that runs the shared height stage must match it bit for
+    bit."""
+    mech, cfg = spec
+    v = sample_path(mech, cfg, path_index=_NS_EXAMPLE + i).values
+    return ((v[-1] - v.min()) / mech.beta,)
+
+
+def test_example_row_matches_the_reflected_path_formula():
+    steps, (row, spec, m), _, _ = SUITES["example"].plan(FELLER, CFG, SMALL)
+    steps.close()
+    assert m == SMALL["example"]["paths"]
+    for i in range(m):
+        got, want = row(spec, i), _example_row_by_reflection(spec, i)
         assert [type(v) for v in got] == [type(v) for v in want]
         assert [np.asarray(v).tobytes() for v in got] \
             == [np.asarray(v).tobytes() for v in want], i
