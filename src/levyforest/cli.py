@@ -31,7 +31,7 @@ from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, PreconditionError
 from .exploration import scan_height
 from .local_time import default_level_width, level_bins, running_local_time
-from .paths import build_nodes, sample_path, write_csv, write_jumps_csv, write_path_csv
+from .paths import build_nodes, sample_path, write_csv
 from .verify import SUITES, keep_heap_resident, run_all, run_suite
 
 EXIT_OK = 0
@@ -125,8 +125,10 @@ def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
         return EXIT_OK
     path = sample_path(mech, cfg)
     if kind == "levy":
-        _csv(out, "path.csv", lambda fp: write_path_csv(path, fp))
-        _csv(out, "jumps.csv", lambda fp: write_jumps_csv(path, fp))
+        _csv(out, "path.csv", write_csv, ["time", "value"], path.grid_times(), path.values)
+        j = path.jumps
+        _csv(out, "jumps.csv", write_csv, ["time", "size", "pre_value"],
+             j.times, j.sizes, j.pre_values)
         _write_sidecar(out, "path", run)
         return EXIT_OK
     # kind == "height"; scan_height rejects a path without a diffusion part

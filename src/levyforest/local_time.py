@@ -18,12 +18,12 @@ level-resolution bias; it is an engineering choice.  The suites do not read
 it: they take their widths from level_width or from the dt ladder.
 
 Tanaka-style pathwise evaluations of the same local time are provided for
-cross-checking: the "plus" variant
+cross-checking, one call giving both forms at every level: the plus form
 
     L_t(a) = beta*(H_t - a)^+ - int_0^t 1{H_s > a} dxi_s
              + sum_{t_i <= t} 1{H_{t_i} > a} (z_i + inf_{[t_i,t]} xi - xi_{t_i})^+
 
-and a "minus" variant obtained by subtracting the plus form from the height
+and a minus form obtained by subtracting the plus form from the height
 identity, which evaluates to
 
     L_t(a) = -beta*(H_t ^ a) + int_0^t 1{H_s <= a} dxi_s - inf_{[0,t]} xi
@@ -187,38 +187,39 @@ def running_local_time(times: np.ndarray, heights: np.ndarray, width: float,
 # Tanaka-style pathwise local time
 # ---------------------------------------------------------------------------
 
-def tanaka_local_time(scan: HeightScan, a: float, variant: str = "plus") -> float:
-    """Pathwise local-time evaluation at level a over the scanned window.
-
-    variant "plus" uses the above-level form, "minus" the below-level form;
-    the two agree to rounding error pathwise.
-    """
-    if a < 0.0:
+def tanaka_local_time(scan: HeightScan, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Pathwise local time at each level over the scanned window, in the
+    plus and the minus form: two arrays, one entry per level, that agree to
+    rounding error pathwise.  The piece increments, jump heights and
+    erosions are gathered once for all levels."""
+    if any(a < 0.0 for a in levels):
         raise ValueError("level must be >= 0")
     beta = scan.beta
     nodes = scan.nodes
-    vals = nodes.values
     H = scan.height
-    d = np.diff(vals)
+    d = np.diff(nodes.values)
     is_jump = nodes.piece_is_jump()
-    h_left = H[:-1]
+    # the continuous pieces in time order, with their left heights: the same
+    # summands, in the same order, as d[(H[:-1] > a) & ~is_jump]
+    d_cont, h_left = d[~is_jump], H[:-1][~is_jump]
+    d_jump = d[is_jump]
     # jump indicators evaluated at the post vertex (H is continuous across
-    # the jump; using one vertex for both variants keeps them consistent)
-    hj = H[nodes.jump_post] if len(nodes.jump_post) else np.empty(0)
+    # the jump; using one vertex for both forms keeps them consistent)
+    hj = H[nodes.jump_post]
     fe = scan.final_erosion
     h_t = float(H[-1])
     i0 = float(scan.infimum[-1])
 
-    if variant == "plus":
-        above = h_left > a
-        integral = float(d[above & ~is_jump].sum())
-        jump_piece = float(d[is_jump][hj > a].sum()) if len(hj) else 0.0
-        erosion = float(fe[hj > a].sum()) if len(hj) else 0.0
-        return beta * max(h_t - a, 0.0) - (integral + jump_piece) + erosion
-    if variant == "minus":
-        below = h_left <= a
-        integral = float(d[below & ~is_jump].sum())
-        jump_piece = float(d[is_jump][hj <= a].sum()) if len(hj) else 0.0
-        erosion = float(fe[hj <= a].sum()) if len(hj) else 0.0
-        return -beta * min(h_t, a) + integral + jump_piece - i0 - erosion
-    raise ValueError("variant must be 'plus' or 'minus'")
+    plus, minus = [], []
+    for a in levels:
+        above, high = h_left > a, hj > a
+        integral = float(d_cont[above].sum())
+        jump_piece = float(d_jump[high].sum())
+        erosion = float(fe[high].sum())
+        plus.append(beta * max(h_t - a, 0.0) - (integral + jump_piece) + erosion)
+        below, low = h_left <= a, hj <= a
+        integral = float(d_cont[below].sum())
+        jump_piece = float(d_jump[low].sum())
+        erosion = float(fe[low].sum())
+        minus.append(-beta * min(h_t, a) + integral + jump_piece - i0 - erosion)
+    return np.array(plus), np.array(minus)

@@ -46,8 +46,6 @@ __all__ = [
     "sim_config_to_config",
     "grid_step",
     "write_csv",
-    "write_path_csv",
-    "write_jumps_csv",
 ]
 
 _SMALL_JUMP_MODES = ("drop_compensated", "gaussian_correction")
@@ -501,12 +499,3 @@ def write_csv(fp, header: list[str], *columns) -> None:
     w = csv.writer(fp)
     w.writerow(header)
     w.writerows([repr(float(v)) for v in row] for row in zip(*columns))
-
-
-def write_path_csv(path: LevyPath, fp) -> None:
-    write_csv(fp, ["time", "value"], path.grid_times(), path.values)
-
-
-def write_jumps_csv(path: LevyPath, fp) -> None:
-    j = path.jumps
-    write_csv(fp, ["time", "size", "pre_value"], j.times, j.sizes, j.pre_values)

@@ -52,6 +52,7 @@ import copy
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,7 +95,6 @@ __all__ = [
     "white_noise_report",
     "poisson_marks_report",
     "reflected_supremum_report",
-    "brownian_example_report",
     "PathPool",
     "keep_heap_resident",
     "SUITES",
@@ -882,9 +882,9 @@ def _tanaka_row(spec, i: int) -> tuple:
     for ratio, width, rung_bins in zip(ratios, widths, bins):
         nodes, sc = _heights(coarsen_path(p, ratio))
         occ.append(_level_profile(nodes, sc.height, width, rung_bins))
-        tan.append([tanaka_local_time(sc, a, "plus") for a in levels])
-        minus = [tanaka_local_time(sc, a, "minus") for a in levels]
-        gap = max([gap] + [abs(pl - mi) for pl, mi in zip(tan[-1], minus)])
+        plus, minus = tanaka_local_time(sc, levels)
+        tan.append(plus)
+        gap = max(gap, float(np.abs(plus - minus).max()))
     return occ, tan, gap
 
 
@@ -1086,9 +1086,11 @@ def _reflected_row(spec, i: int) -> tuple:
     nodes = build_nodes(sample_path(mech, cfg, path_index=_NS_REFLECTED + i))
     s_run = np.maximum.accumulate(nodes.values)
     w = node_weights(nodes.times)
-    ds_sum = 0.0
-    for jpost in nodes.jump_post:
-        ds_sum += max(nodes.values[jpost] - s_run[jpost - 1], 0.0)
+    post = nodes.jump_post
+    # added in time order, one by one (np.sum's pairwise order, or the
+    # compensated sum() of Python 3.12+, would move the report's bits)
+    ds_sum = functools.reduce(
+        operator.add, np.maximum(nodes.values[post] - s_run[post - 1], 0.0).tolist(), 0.0)
     return (beta * float(w[s_run - nodes.values < h_band].sum()) / h_band,
             float(s_run[-1]) - ds_sum)
 
@@ -1137,6 +1139,9 @@ def _example_row(spec, i: int) -> tuple:
 
 @_suite(fixed_mech=BranchingMechanism(alpha=0.0, beta=0.5))
 def _brownian_example(mech, cfg, harness, oracle):
+    """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
+    is distributed like twice the absolute value of a Gaussian with variance
+    t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
     block = harness["example"]
     m_paths, dt, t_end = block["paths"], block["dt"], block["t"]
 
@@ -1158,14 +1163,6 @@ def _brownian_example(mech, cfg, harness, oracle):
                           0.02 * mean_oracle),
                CheckCell("nonnegative", {}, float(hs.min()), 0.0, 0.0, 0.0, "lower")],
         config_echo={"t": t_end, "dt": dt})
-
-
-def brownian_example_report(cfg: SimConfig, harness: dict, *, jobs: int = 1,
-                            pool: PathPool | None = None) -> MonteCarloReport:
-    """For a standard Brownian path (alpha=0, beta=1/2) the height at time t
-    is distributed like twice the absolute value of a Gaussian with variance
-    t; checked by a Kolmogorov-Smirnov distance at the 1% level."""
-    return _brownian_example(None, cfg, harness, jobs=jobs, pool=pool)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from levyforest import BranchingMechanism, JumpMeasure
 from levyforest.exploration import height_trajectory
 from levyforest.paths import SimConfig, sample_path
 from levyforest.verify import (
-    brownian_example_report,
     poisson_marks_report,
     ray_knight_report,
     reflected_supremum_report,
@@ -225,7 +224,7 @@ def test_criterion_08_reflected_supremum():
 
 def test_criterion_09_brownian_example():
     t0 = time.time()
-    rep = brownian_example_report(CFG_FELLER, HARNESS, jobs=1)
+    rep = run_suite("example", FELLER, CFG_FELLER, HARNESS, jobs=1)
     assert rep.passed, _fails(rep)
     ks = [c for c in rep.cells if c.name == "ks_distance"][0]
     assert ks.stat <= ks.tol

@@ -351,9 +351,8 @@ def test_jumps_at_one_instant_pair_pre_and_post_vertices():
         assert sc.height.tolist() == heights, engine.__name__
         assert sc.final_erosion.tolist() == [0.25, 0.0], engine.__name__
     sc = scan_height(nodes, 1.0)
-    for a in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
-        plus = tanaka_local_time(sc, a, "plus")
-        minus = tanaka_local_time(sc, a, "minus")
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0)
+    for a, plus, minus in zip(levels, *tanaka_local_time(sc, levels)):
         assert abs(plus - minus) <= 1e-12, a
 
 

@@ -223,8 +223,9 @@ def test_tanaka_vanishes_above_max_height():
     p = sample_path(JUMPY, SimConfig(dt=1e-3, horizon=2.0, seed=7), path_index=3)
     sc = scan_height(build_nodes(p), p.beta_eff)
     a = float(sc.height.max()) + 0.5
-    assert abs(tanaka_local_time(sc, a, "plus")) <= 1e-12
-    assert abs(tanaka_local_time(sc, a, "minus")) <= 1e-10
+    (plus,), (minus,) = tanaka_local_time(sc, [a])
+    assert abs(plus) <= 1e-12
+    assert abs(minus) <= 1e-10
 
 
 def test_tanaka_plus_minus_pathwise_identity():
@@ -233,9 +234,8 @@ def test_tanaka_plus_minus_pathwise_identity():
         mech = JUMPY if i % 2 else FELLER
         p = sample_path(mech, SimConfig(dt=1e-3, horizon=2.0, seed=7), path_index=i)
         sc = scan_height(build_nodes(p), p.beta_eff)
-        for a in (0.0, 0.2, 0.7, 1.5):
-            worst = max(worst, abs(tanaka_local_time(sc, a, "plus")
-                                   - tanaka_local_time(sc, a, "minus")))
+        plus, minus = tanaka_local_time(sc, (0.0, 0.2, 0.7, 1.5))
+        worst = max(worst, float(np.abs(plus - minus).max()))
     assert worst <= 1e-9
 
 
@@ -243,9 +243,9 @@ def test_tanaka_level_zero_recovers_stopped_mass():
     p = sample_path(FELLER, SimConfig(dt=2.5e-4, horizon=30.0, seed=9), stop_level=1.0)
     cut = truncate_at_level(build_nodes(p), 1.0)
     sc = scan_height(cut[0], p.beta_eff)
-    val = tanaka_local_time(sc, 0.0, "minus")
+    (plus,), (val,) = tanaka_local_time(sc, [0.0])
     assert val == pytest.approx(1.0, abs=0.15)
-    assert tanaka_local_time(sc, 0.0, "plus") == pytest.approx(val, abs=1e-10)
+    assert plus == pytest.approx(val, abs=1e-10)
 
 
 def test_tanaka_agrees_with_occupation_on_average():
@@ -257,19 +257,59 @@ def test_tanaka_agrees_with_occupation_on_average():
         sc = scan_height(nodes, p.beta_eff)
         prof = occupation_profile(nodes.times, sc.height, 0.0625, 60)
         a = 0.5
-        diffs.append(prof[8] - tanaka_local_time(sc, a, "plus"))
+        diffs.append(prof[8] - tanaka_local_time(sc, [a])[0][0])
     diffs = np.array(diffs)
     se = diffs.std(ddof=1) / math.sqrt(m)
     assert abs(diffs.mean()) <= 3 * se + 0.05
+
+
+def _tanaka_one_form(scan, a, variant):
+    """One level and one form at a time, each sum taken over masks of the
+    whole path: the reference the all-levels call must match bit for bit."""
+    beta = scan.beta
+    nodes = scan.nodes
+    H = scan.height
+    d = np.diff(nodes.values)
+    is_jump = nodes.piece_is_jump()
+    h_left = H[:-1]
+    hj = H[nodes.jump_post] if len(nodes.jump_post) else np.empty(0)
+    fe = scan.final_erosion
+    h_t = float(H[-1])
+    i0 = float(scan.infimum[-1])
+    if variant == "plus":
+        above = h_left > a
+        integral = float(d[above & ~is_jump].sum())
+        jump_piece = float(d[is_jump][hj > a].sum()) if len(hj) else 0.0
+        erosion = float(fe[hj > a].sum()) if len(hj) else 0.0
+        return beta * max(h_t - a, 0.0) - (integral + jump_piece) + erosion
+    below = h_left <= a
+    integral = float(d[below & ~is_jump].sum())
+    jump_piece = float(d[is_jump][hj <= a].sum()) if len(hj) else 0.0
+    erosion = float(fe[hj <= a].sum()) if len(hj) else 0.0
+    return -beta * min(h_t, a) + integral + jump_piece - i0 - erosion
+
+
+@pytest.mark.parametrize("law", sorted(RESTRICT_LAWS))
+def test_tanaka_all_levels_match_the_one_level_forms(law):
+    for index in range(6):
+        mech, delta = RESTRICT_LAWS[law]
+        p = sample_path(mech, SimConfig(dt=1e-3, horizon=3.0, truncation_delta=delta,
+                                        small_jump_mode="gaussian_correction", seed=41),
+                        path_index=index)
+        sc = scan_height(build_nodes(p), p.beta_eff)
+        h = np.unique(sc.height)
+        # 0, midway between heights, exactly at a vertex height, above the top
+        levels = [0.0, *((h[:-1] + h[1:]) / 2)[::97], *h[1::89], float(h[-1]) + 0.5]
+        plus, minus = tanaka_local_time(sc, levels)
+        assert _bits(plus) == _bits([_tanaka_one_form(sc, a, "plus") for a in levels])
+        assert _bits(minus) == _bits([_tanaka_one_form(sc, a, "minus") for a in levels])
 
 
 def test_tanaka_rejects_bad_arguments():
     p = sample_path(FELLER, SimConfig(dt=1e-2, horizon=1.0, seed=1))
     sc = scan_height(build_nodes(p), p.beta_eff)
     with pytest.raises(ValueError):
-        tanaka_local_time(sc, -1.0, "plus")
-    with pytest.raises(ValueError):
-        tanaka_local_time(sc, 0.5, "bogus")
+        tanaka_local_time(sc, [-1.0])
 
 
 # -- jump erosion diagnostic ---------------------------------------------------

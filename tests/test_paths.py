@@ -24,8 +24,7 @@ from levyforest.paths import (
     sim_config_to_config,
     time_reverse,
     truncate_at_level,
-    write_jumps_csv,
-    write_path_csv,
+    write_csv,
 )
 
 FELLER = BranchingMechanism(0.5, 1.0)
@@ -349,12 +348,13 @@ def test_sim_config_validation_and_roundtrip():
 def test_csv_exports():
     p = sample_path(JUMPY, SimConfig(dt=0.01, horizon=1.0, seed=2), path_index=7)
     buf = io.StringIO()
-    write_path_csv(p, buf)
+    write_csv(buf, ["time", "value"], p.grid_times(), p.values)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "time,value"
     assert len(lines) == p.n_cells + 2
     buf = io.StringIO()
-    write_jumps_csv(p, buf)
+    j = p.jumps
+    write_csv(buf, ["time", "size", "pre_value"], j.times, j.sizes, j.pre_values)
     jlines = buf.getvalue().strip().splitlines()
     assert jlines[0] == "time,size,pre_value"
     assert len(jlines) == len(p.jumps) + 1

@@ -9,10 +9,11 @@ from levyforest import BranchingMechanism, ConfigurationError, JumpMeasure, Prec
 from levyforest.config import run_config_from_dict
 from levyforest.local_time import level_bins, occupation_profile, running_local_time
 from levyforest.mechanism import PowerLawTail
-from levyforest.paths import SimConfig, sample_path
+from levyforest.paths import SimConfig, build_nodes, node_weights, sample_path
 from levyforest.verify import (
     _NS_EXAMPLE,
     _NS_NOISE,
+    _NS_REFLECTED,
     CheckCell,
     GridFunction2D,
     MarkBox,
@@ -214,6 +215,39 @@ def test_example_row_matches_the_reflected_path_formula():
     for i in range(m):
         got, want = row(spec, i), _example_row_by_reflection(spec, i)
         assert [type(v) for v in got] == [type(v) for v in want]
+        assert [np.asarray(v).tobytes() for v in got] \
+            == [np.asarray(v).tobytes() for v in want], i
+
+
+# -- the reflected row adds the supremum's jump increases in time order ----------
+
+def _reflected_row_by_loop(spec, i: int) -> tuple:
+    """The reflected row with its jump increases added one at a time in a
+    Python loop: the row that adds them in one call must match it bit for
+    bit."""
+    mech, cfg, beta, h_band = spec
+    nodes = build_nodes(sample_path(mech, cfg, path_index=_NS_REFLECTED + i))
+    s_run = np.maximum.accumulate(nodes.values)
+    w = node_weights(nodes.times)
+    ds_sum = 0.0
+    for jpost in nodes.jump_post:
+        ds_sum += max(nodes.values[jpost] - s_run[jpost - 1], 0.0)
+    return (beta * float(w[s_run - nodes.values < h_band].sum()) / h_band,
+            float(s_run[-1]) - ds_sum)
+
+
+def test_reflected_row_matches_the_jump_loop():
+    # delta = 0.01 draws about 670 jumps per unit time
+    mech = BranchingMechanism(0.5, 1.0, JumpMeasure(
+        power_law=PowerLawTail(c=1.0, sigma=1.5, z_max=1.0)))
+    cfg = SimConfig(dt=1e-3, horizon=24.0, truncation_delta=0.01,
+                    small_jump_mode="gaussian_correction", seed=17)
+    harness = dict(SMALL, reflected={"t": 1.0, "paths": 200, "band_mult": 16.0})
+    steps, (row, spec, m), _, _ = SUITES["reflected"].plan(mech, cfg, harness)
+    steps.close()
+    assert m == 200
+    for i in range(m):
+        got, want = row(spec, i), _reflected_row_by_loop(spec, i)
         assert [np.asarray(v).tobytes() for v in got] \
             == [np.asarray(v).tobytes() for v in want], i
 
