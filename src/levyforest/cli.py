@@ -110,38 +110,38 @@ def _cmd_mechanism_info(run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _csv(out: str, name: str, write, *args) -> None:
+def _csv(out: str, name: str, header: list[str], *columns) -> None:
     with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fp:
-        write(fp, *args)
+        write_csv(fp, header, *columns)
 
 
 def _cmd_simulate(run: RunConfig, kind: str, out: str) -> int:
     mech, cfg = run.mechanism, run.sim
     if kind == "cb":
         values = simulate_cb(mech, run.harness["x"], cfg)
-        _csv(out, "cb.csv", write_csv, ["time", "value"],
+        _csv(out, "cb.csv", ["time", "value"],
              np.arange(len(values)) * cfg.dt, values)
         _write_sidecar(out, "cb", run)
         return EXIT_OK
     path = sample_path(mech, cfg)
     if kind == "levy":
-        _csv(out, "path.csv", write_csv, ["time", "value"], path.grid_times(), path.values)
+        _csv(out, "path.csv", ["time", "value"], path.grid_times(), path.values)
         j = path.jumps
-        _csv(out, "jumps.csv", write_csv, ["time", "size", "pre_value"],
+        _csv(out, "jumps.csv", ["time", "size", "pre_value"],
              j.times, j.sizes, j.pre_values)
         _write_sidecar(out, "path", run)
         return EXIT_OK
     # kind == "height"; scan_height rejects a path without a diffusion part
     nodes = build_nodes(path)
     sc = scan_height(nodes, path.beta_eff)
-    _csv(out, "height.csv", write_csv, ["time", "height"], path.grid_times(),
+    _csv(out, "height.csv", ["time", "height"], path.grid_times(),
          sc.grid_height())
     # one row per vertex above 0: its bin's left edge and L_s(H_s) before it
     width = default_level_width(cfg.dt, path.beta_eff)
     lb = level_bins(nodes.times, sc.height, width)
     running = running_local_time(nodes.times, sc.height, width, binned=lb)
     up = lb.key > 0
-    _csv(out, "local_time.csv", write_csv, ["time", "level", "local_time"],
+    _csv(out, "local_time.csv", ["time", "level", "local_time"],
          nodes.times[up], (lb.key[up] - 1) * width, running[up])
     _write_sidecar(out, "height", run)
     return EXIT_OK

@@ -13,23 +13,22 @@ Validation failures raise ConfigurationError naming the offending field.
 The mechanism and sim sections are checked by their types
 (BranchingMechanism, SimConfig), the harness by verify.merge_harness, the
 check every suite's plan runs too.  Omitted harness keys fall back to
-DEFAULT_HARNESS (kept in levyforest.verify and re-exported here), which
-reproduces the acceptance-scale verification runs.
+levyforest.verify.DEFAULT_HARNESS, which reproduces the acceptance-scale
+verification runs.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigurationError
 from .mechanism import BranchingMechanism, mechanism_from_config, mechanism_to_config
-from .paths import SimConfig, sim_config_from_config, sim_config_to_config
-from .verify import DEFAULT_HARNESS, merge_harness
+from .paths import SimConfig, sim_config_from_config
+from .verify import merge_harness
 
-__all__ = ["RunConfig", "load_run_config", "run_config_from_dict",
-           "DEFAULT_CONFIG", "DEFAULT_HARNESS"]
+__all__ = ["RunConfig", "load_run_config", "run_config_from_dict", "DEFAULT_CONFIG"]
 
 
 DEFAULT_CONFIG: dict = {
@@ -54,7 +53,7 @@ class RunConfig:
             harness = dict(harness, noise=dict(harness["noise"], f=f.to_config()))
         return {
             "mechanism": mechanism_to_config(self.mechanism),
-            "sim": sim_config_to_config(self.sim),
+            "sim": asdict(self.sim),
             "harness": harness,
         }
 

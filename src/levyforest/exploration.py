@@ -151,9 +151,11 @@ _BLOCK = 1 << 13
 def _stretch_minima(vals, starts) -> np.ndarray:
     """np.minimum.accumulate of vals restarted at every index in starts
     (starts[0] == 0), exactly, by log-step doubling over shifted views, in
-    blocks of _BLOCK nodes so that the temporaries stay small.  A block may
-    read minima that the same pass has already lowered; that only widens a
-    window inside the stretch, so the result is the same."""
+    blocks of _BLOCK nodes so that the temporaries stay small: numpy copies
+    an input view that overlaps its output, so one call over the whole
+    array would copy all of it.  A block may read minima that the same pass
+    has already lowered; that only widens a window inside the stretch, so
+    the result is the same."""
     lengths = np.diff(starts, append=len(vals))
     offset = np.ones(len(vals), dtype=np.int32)       # index inside the stretch
     offset[0] = 0

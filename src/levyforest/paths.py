@@ -43,7 +43,6 @@ __all__ = [
     "node_prefix",
     "truncate_at_level",
     "sim_config_from_config",
-    "sim_config_to_config",
     "grid_step",
     "write_csv",
 ]
@@ -127,16 +126,6 @@ def sim_config_from_config(obj: dict) -> SimConfig:
         if name not in kwargs:
             raise ConfigurationError(f"sim.{name}: missing")
     return SimConfig(**kwargs)
-
-
-def sim_config_to_config(cfg: SimConfig) -> dict:
-    return {
-        "dt": cfg.dt,
-        "horizon": cfg.horizon,
-        "truncation_delta": cfg.truncation_delta,
-        "small_jump_mode": cfg.small_jump_mode,
-        "seed": cfg.seed,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,9 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
-import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from .paths import (
     coarsen_path,
     node_weights,
     sample_path,
-    sim_config_to_config,
     simulated_law,
     truncate_at_level,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "merge_harness",
     "GridFunction2D",
     "indicator_box",
-    "MarkBox",
     "ray_knight_report",
     "theorem1_report",
     "tanaka_report",
@@ -258,7 +255,8 @@ def _validate_sizes(block: str, sub: dict) -> None:
 def _validate_dts(out: dict) -> None:
     """The dt ladder shared by theorem1, tanaka and reflected: every rung a
     whole number of finest steps that coarsen_path can apply to the
-    theorem1 grid, its stopped prefixes and the tanaka grid."""
+    theorem1 grid, its stopped prefixes and the tanaka and reflected grids;
+    then the tanaka and reflected windows whole numbers of finest steps."""
     dts = out["dts"]                    # finite numbers >= 0 by now
     if not min(dts) > 0.0:
         raise ConfigurationError("harness.dts: steps must be finite and > 0")
@@ -273,7 +271,8 @@ def _validate_dts(out: dict) -> None:
     stopped = SimConfig(dt=fine, horizon=out["theorem1"]["horizon"])
     grids = {"theorem1 grid": stopped.n_cells,
              "theorem1 stopped-path chunk": _chunk_cells(stopped),
-             "tanaka grid": int(round(out["tanaka"]["t"] / fine))}
+             "tanaka grid": int(round(out["tanaka"]["t"] / fine)),
+             "reflected grid": int(round(out["reflected"]["t"] / fine))}
     for d in dts:
         ratio = int(round(d / fine))
         if abs(ratio * fine - d) > 1e-12:
@@ -284,6 +283,10 @@ def _validate_dts(out: dict) -> None:
                 raise ConfigurationError(
                     f"harness.dts: {d} spans {ratio} finest steps, which do not "
                     f"divide the {what} of {cells} cells")
+    for block in ("tanaka", "reflected"):
+        if abs(math.remainder(out[block]["t"], fine)) > 1e-9 * fine:
+            raise ConfigurationError(
+                f"harness.{block}.t: must be a whole number of the finest harness.dts step")
 
 
 def _grid_function(obj, name: str) -> GridFunction2D:
@@ -387,9 +390,6 @@ class MonteCarloReport:
             "reason": self.reason,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _gap_cell(name: str, params: dict, stat: float, oracle: float,
@@ -588,7 +588,7 @@ def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
             oracle = replace(mech, alpha=mech.alpha + offset) if offset else mech
             steps = suite(mech, cfg, h, oracle)
             job = next(steps)                       # the body's checks run here
-            echo = {"mechanism": mechanism_to_config(mech), "sim": sim_config_to_config(cfg),
+            echo = {"mechanism": mechanism_to_config(mech), "sim": asdict(cfg),
                     "oracle_mechanism": mechanism_to_config(oracle)}
             return steps, job, echo, _exponent_plan(mech, oracle, cfg, h["exponent_check"])
 
@@ -709,18 +709,6 @@ def indicator_box(a: float, u_max: float) -> GridFunction2D:
     return GridFunction2D(s_edges=np.array([0.0, a]),
                           u_edges=np.array([0.0, u_max]),
                           values=np.ones((1, 1)))
-
-
-@dataclass(frozen=True)
-class MarkBox:
-    """Half-open box (a_lo, a_hi] x (z_lo, z_hi] x (u_lo, u_hi]."""
-
-    a: tuple[float, float]
-    z: tuple[float, float]
-    u: tuple[float, float]
-
-    def volume_intensity(self, mech: BranchingMechanism) -> float:
-        return (self.a[1] - self.a[0]) * mech.jumps.moment(0, *self.z) * (self.u[1] - self.u[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +998,9 @@ def _poisson_row(spec, i: int) -> tuple:
     hj = sc.height[nodes.jump_post]
     uj = run[nodes.jump_post]
     zj = nodes.jump_sizes
-    counts = [((hj > b.a[0]) & (hj <= b.a[1]) & (zj > b.z[0]) & (zj <= b.z[1])
-               & (uj > b.u[0]) & (uj <= b.u[1])).sum() for b in boxes]
-    covered = [prof[lo:hi].min() >= b.u[1] for b, (lo, hi) in zip(boxes, box_bins)]
+    counts = [((hj > b["a"][0]) & (hj <= b["a"][1]) & (zj > b["z"][0]) & (zj <= b["z"][1])
+               & (uj > b["u"][0]) & (uj <= b["u"][1])).sum() for b in boxes]
+    covered = [prof[lo:hi].min() >= b["u"][1] for b, (lo, hi) in zip(boxes, box_bins)]
     return np.array(counts, dtype=float), np.array(covered), prof[j_level]
 
 
@@ -1024,19 +1012,20 @@ def poisson_marks_report(mech, cfg, harness, oracle):
     measure in ds x pi(dz) x du on covered boxes."""
     block = harness["poisson"]
     x, m_paths, width = block["x"], block["paths"], block["level_width"]
-    boxes = [MarkBox(tuple(b["a"]), tuple(b["z"]), tuple(b["u"])) for b in harness["boxes"]]
-    intensities = [b.volume_intensity(oracle) for b in boxes]
+    boxes = harness["boxes"]            # half-open (lo, hi] on each axis
+    intensities = [(b["a"][1] - b["a"][0]) * oracle.jumps.moment(0, *b["z"])
+                   * (b["u"][1] - b["u"][0]) for b in boxes]
     for i, intensity in enumerate(intensities):
         if math.isinf(intensity):
             raise ConfigurationError(f"harness.boxes[{i}].z: infinite jump mass")
     sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
 
-    prof_level = max(b.a[1] for b in boxes)
+    prof_level = max(b["a"][1] for b in boxes)
     # profile bins each box's coverage reads, and the bin of prof_level
-    tops = [_level_bin(b.a[1], width, f"harness.boxes[{i}].a") for i, b in enumerate(boxes)]
+    tops = [_level_bin(b["a"][1], width, f"harness.boxes[{i}].a") for i, b in enumerate(boxes)]
     box_bins = []
     for b, top in zip(boxes, tops):
-        lo = max(int(math.floor(b.a[0] / width)), 0)
+        lo = max(int(math.floor(b["a"][0] / width)), 0)
         box_bins.append((lo, max(lo + 1, top)))
     j_level = max(tops)
     n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
@@ -1050,8 +1039,7 @@ def poisson_marks_report(mech, cfg, harness, oracle):
         discarded=discarded,
         config_echo={"x": x, "dt": block["dt"], "horizon": block["horizon"],
                      "level_width": width,
-                     "boxes": [{"a": list(b.a), "z": list(b.z), "u": list(b.u)}
-                               for b in boxes]})
+                     "boxes": [{k: list(b[k]) for k in "azu"} for b in boxes]})
     for b_idx, intensity in enumerate(intensities):
         c = C[:, b_idx]
         report.cells.append(_mean_cell("mark_count_mean",

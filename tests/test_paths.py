@@ -1,7 +1,7 @@
 import io
 import math
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from levyforest.paths import (
     path_stream,
     sample_path,
     sim_config_from_config,
-    sim_config_to_config,
     time_reverse,
     truncate_at_level,
     write_csv,
@@ -336,7 +335,7 @@ def test_coarsen_path_agrees_at_shared_grid_points():
 def test_sim_config_validation_and_roundtrip():
     cfg = SimConfig(dt=1e-3, horizon=2.0, truncation_delta=0.1,
                     small_jump_mode="gaussian_correction", seed=9)
-    assert sim_config_from_config(sim_config_to_config(cfg)) == cfg
+    assert sim_config_from_config(asdict(cfg)) == cfg
     with pytest.raises(ConfigurationError, match="dt"):
         SimConfig(dt=0.0, horizon=1.0)
     with pytest.raises(ConfigurationError, match="horizon"):

@@ -16,7 +16,6 @@ from levyforest.verify import (
     _NS_REFLECTED,
     CheckCell,
     GridFunction2D,
-    MarkBox,
     PathPool,
     SUITES,
     _cell_brownian,
@@ -157,9 +156,14 @@ def test_poisson_unreachable_u_range_flags_coverage():
 
 
 def test_mark_box_intensity():
-    box = MarkBox((0.0, 0.5), (0.8, 1.2), (0.0, 0.5))
-    assert box.volume_intensity(JUMPY) == pytest.approx(0.25)
-    assert MarkBox((0.0, 0.5), (2.0, 3.0), (0.0, 0.5)).volume_intensity(JUMPY) == 0.0
+    h = dict(SMALL, boxes=[{"a": [0.0, 0.5], "z": [0.8, 1.2], "u": [0.0, 0.5]},
+                           {"a": [0.0, 0.5], "z": [2.0, 3.0], "u": [0.0, 0.5]}],
+             poisson=dict(SMALL["poisson"], paths=4),
+             exponent_check=dict(SMALL["exponent_check"], paths=4))
+    rep = run_suite("poisson-marks", JUMPY, CFG, h, jobs=1)
+    intensity = [c.params["intensity"] for c in _cells(rep, "mark_count_mean")]
+    assert intensity[0] == pytest.approx(0.25)
+    assert intensity[1] == 0.0
 
 
 # -- the noise row bins only the levels it reads ---------------------------------
@@ -294,8 +298,8 @@ def test_run_all_skips_inapplicable_suites():
 def test_report_json_roundtrip_and_jobs_determinism():
     rep1 = run_suite("reflected", FELLER, CFG, SMALL, jobs=1)
     rep2 = run_suite("reflected", FELLER, CFG, SMALL, jobs=4)
-    assert rep1.to_json() == rep2.to_json()
-    obj = json.loads(rep1.to_json())
+    assert rep1.to_dict() == rep2.to_dict()
+    obj = json.loads(json.dumps(rep1.to_dict(), allow_nan=False))
     assert obj["check"] == "reflected"
     assert obj["pass"] == rep1.passed
     assert all(set(c) >= {"name", "stat", "oracle", "stderr", "tol", "pass"}
@@ -317,7 +321,7 @@ def test_run_all_reports_do_not_depend_on_the_split():
     assert [r.check for r in split] == [r.check for r in serial]
     assert not any(r.skipped for r in serial)
     for a, b in zip(serial, split):
-        assert a.to_json() == b.to_json(), a.check
+        assert a.to_dict() == b.to_dict(), a.check
 
 
 def test_path_pool_starts_no_more_workers_than_chunks():
@@ -465,6 +469,13 @@ def test_tanaka_rejects_a_ladder_off_the_finest_step():
     # cell that reads the oracle
     ({"exponent_check": dict(TINY["exponent_check"], lambdas=[])},
      "harness.exponent_check.lambdas"),
+    # 50.5 finest steps: the tanaka paths would end at 0.5 with t echoed as 0.505
+    ({"dts": [0.02, 0.01], "tanaka": dict(TINY["tanaka"], t=0.505)}, "harness.tanaka.t"),
+    # the same for both reflected rungs
+    ({"dts": [0.02, 0.01], "reflected": dict(TINY["reflected"], t=0.505)},
+     "harness.reflected.t"),
+    # 51 finest steps: the 0.02 rung would run 26 cells (0.52), the 0.01 rung 51
+    ({"dts": [0.02, 0.01], "reflected": dict(TINY["reflected"], t=0.51)}, "harness.dts"),
 ])
 def test_run_all_rejects_what_the_loader_rejects_before_any_path(monkeypatch, edit, field):
     h = dict(TINY, **edit)
