@@ -10,9 +10,11 @@ Shape:
     }
 
 Validation failures raise ConfigurationError naming the offending field.
-The mechanism and sim sections are checked by their types
-(BranchingMechanism, SimConfig), the harness by verify.merge_harness, the
-check every suite's plan runs too.  Omitted harness keys fall back to
+Every object, from the top level to each atom and mark box, is read by
+errors.config_object: a field it does not know is an error.  The mechanism
+and sim sections are then checked by their types (BranchingMechanism,
+SimConfig), the harness by verify.merge_harness, the check every suite's
+plan runs too.  Omitted harness keys fall back to
 levyforest.verify.DEFAULT_HARNESS, which reproduces the acceptance-scale
 verification runs.
 """
@@ -23,7 +25,7 @@ import copy
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_object
 from .mechanism import BranchingMechanism, mechanism_from_config, mechanism_to_config
 from .paths import SimConfig, sim_config_from_config
 from .verify import merge_harness
@@ -61,13 +63,8 @@ class RunConfig:
 def run_config_from_dict(obj: dict, overrides: dict | None = None) -> RunConfig:
     """The validated config of obj; overrides maps "section.field" names to
     values that replace the config's own before validation."""
-    if not isinstance(obj, dict):
-        raise ConfigurationError("config: expected a JSON object")
     merged = copy.deepcopy(DEFAULT_CONFIG)
-    for key in obj:
-        if key not in merged:
-            raise ConfigurationError(f"config.{key}: unknown field")
-    merged.update({k: obj[k] for k in obj})
+    merged.update(config_object(obj, "config", optional=DEFAULT_CONFIG))
     for name, val in (overrides or {}).items():
         section, key = name.split(".")
         block = merged[section] or {}

@@ -21,12 +21,14 @@ scipy out of the package.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_list, config_number, config_object
 
 __all__ = [
     "PowerLawTail",
@@ -40,6 +42,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # numerically stable kernels
 # ---------------------------------------------------------------------------
+
+def _left_sum(values) -> float:
+    """values added one by one, in order, as the builtin sum() of Python
+    3.11 adds floats; from 3.12 sum() compensates, which would make the
+    bits, and so the reports, depend on the Python version."""
+    return functools.reduce(operator.add, values, 0.0)
+
 
 def _compensated_exp(u):
     """exp(-u) - 1 + u, stable down to u -> 0 where it behaves like u^2/2."""
@@ -160,7 +169,7 @@ class JumpMeasure:
     def moment(self, p: int, lo: float = 0.0, hi: float = math.inf) -> float:
         """int_(lo,hi] z**p pi(dz) for p in {0, 1, 2}; inf where the power
         law's integral diverges at 0 or overflows just above it."""
-        total = sum(w * (1.0, z, z * z)[p] for z, w in self.atoms if lo < z <= hi)
+        total = _left_sum(w * (1.0, z, z * z)[p] for z, w in self.atoms if lo < z <= hi)
         cut = self._tail_cut(lo, hi)
         if cut is not None:
             a, b = cut
@@ -180,7 +189,7 @@ class JumpMeasure:
 
     def compensated_integral_above(self, delta: float, lam: float) -> float:
         """int_delta^inf (exp(-lam z) - 1 + lam z) pi(dz)."""
-        total = sum(w * _compensated_exp(lam * z) for z, w in self.atoms if z > delta)
+        total = _left_sum(w * _compensated_exp(lam * z) for z, w in self.atoms if z > delta)
         cut = self._tail_cut(delta, math.inf)
         if cut is not None and lam > 0.0:
             a, b = cut
@@ -345,12 +354,12 @@ def _integrate_flow(psi_fn, t_end: float, v0: float) -> float:
         h = min(h, t_end - t)
         k[0] = -psi_fn(max(y, 0.0))
         for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_RK_A[i]))
+            yi = y + h * _left_sum(a * k[j] for j, a in enumerate(_RK_A[i]))
             k[i] = -psi_fn(max(yi, 0.0))
-        err = abs(h * sum(e * k[i] for i, e in enumerate(_RK_ERR)))
+        err = abs(h * _left_sum(e * k[i] for i, e in enumerate(_RK_ERR)))
         scale = 1e-13 + 1e-12 * abs(y)      # absolute and relative local error targets
         if err <= scale or h <= h_min:
-            y = y + h * sum(b * k[i] for i, b in enumerate(_RK_B4))
+            y = y + h * _left_sum(b * k[i] for i, b in enumerate(_RK_B4))
             t += h
             if y <= 0.0:
                 return 0.0
@@ -365,40 +374,24 @@ def _integrate_flow(psi_fn, t_end: float, v0: float) -> float:
 
 def mechanism_from_config(obj: dict) -> BranchingMechanism:
     """Build a mechanism from {"alpha":..., "beta":..., "jumps": {...}}."""
-    if not isinstance(obj, dict):
-        raise ConfigurationError("mechanism: expected a JSON object")
-    try:
-        alpha = float(obj["alpha"])
-        beta = float(obj["beta"])
-    except KeyError as exc:
-        raise ConfigurationError(f"mechanism.{exc.args[0]}: missing") from None
-    except (TypeError, ValueError):
-        raise ConfigurationError("mechanism.alpha/beta: expected numbers") from None
-
-    jumps_obj = obj.get("jumps") or {}
-    if not isinstance(jumps_obj, dict):
-        raise ConfigurationError("mechanism.jumps: expected an object")
+    config_object(obj, "mechanism", ("alpha", "beta"), ("jumps",))
+    alpha = config_number(obj["alpha"], "mechanism.alpha")
+    beta = config_number(obj["beta"], "mechanism.beta")
+    jumps = config_object(obj.get("jumps") or {}, "mechanism.jumps",
+                          optional=("atoms", "power_law"))
     atoms = []
-    for i, atom in enumerate(jumps_obj.get("atoms") or []):
-        try:
-            atoms.append((float(atom["z"]), float(atom["w"])))
-        except (KeyError, TypeError, ValueError):
-            raise ConfigurationError(f"mechanism.jumps.atoms[{i}]: expected {{'z': num, 'w': num}}") from None
-    pl_obj = jumps_obj.get("power_law")
-    power_law = None
-    if pl_obj is not None:
-        if not isinstance(pl_obj, dict):
-            raise ConfigurationError("mechanism.jumps.power_law: expected an object")
-        try:
-            z_max = pl_obj.get("z_max")
-            power_law = PowerLawTail(
-                c=float(pl_obj["c"]),
-                sigma=float(pl_obj["sigma"]),
-                z_min=float(pl_obj.get("z_min", 0.0)),
-                z_max=None if z_max is None else float(z_max),
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ConfigurationError("mechanism.jumps.power_law: expected {'c','sigma','z_min','z_max'}") from None
+    for i, atom in enumerate(config_list(jumps.get("atoms") or [], "mechanism.jumps.atoms")):
+        name = f"mechanism.jumps.atoms[{i}]"
+        config_object(atom, name, ("z", "w"))
+        atoms.append((config_number(atom["z"], f"{name}.z"),
+                      config_number(atom["w"], f"{name}.w")))
+    power_law = jumps.get("power_law")
+    if power_law is not None:
+        name = "mechanism.jumps.power_law"
+        config_object(power_law, name, ("c", "sigma"), ("z_min", "z_max"))
+        power_law = PowerLawTail(**{
+            k: None if k == "z_max" and v is None else config_number(v, f"{name}.{k}")
+            for k, v in power_law.items()})
     return BranchingMechanism(alpha=alpha, beta=beta,
                               jumps=JumpMeasure(atoms=tuple(atoms), power_law=power_law))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_number, config_object
 from .mechanism import BranchingMechanism
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _SMALL_JUMP_MODES = ("drop_compensated", "gaussian_correction")
+_SIM_NUMBERS = ("dt", "horizon", "truncation_delta")
 
 # jump positions inside a cell live on a dyadic lattice so that the mirror
 # map frac -> 1 - frac is exact in floating point (time reversal must be an
@@ -66,7 +67,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dt", "horizon", "truncation_delta"):
+        for name in _SIM_NUMBERS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"sim.{name} must be finite")
         if not self.dt > 0.0:
@@ -112,20 +113,11 @@ def _law(mech: BranchingMechanism, delta: float, small_jump_mode: str):
 
 
 def sim_config_from_config(obj: dict) -> SimConfig:
-    if not isinstance(obj, dict):
-        raise ConfigurationError("sim: expected a JSON object")
-    kwargs = {"seed": obj["seed"]} if "seed" in obj else {}     # SimConfig checks it
-    for name, caster in (("dt", float), ("horizon", float),
-                         ("truncation_delta", float), ("small_jump_mode", str)):
-        if name in obj:
-            try:
-                kwargs[name] = caster(obj[name])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigurationError(f"sim.{name}: expected {caster.__name__}") from None
-    for name in ("dt", "horizon"):
-        if name not in kwargs:
-            raise ConfigurationError(f"sim.{name}: missing")
-    return SimConfig(**kwargs)
+    """The SimConfig of a sim block; SimConfig checks its seed and mode."""
+    config_object(obj, "sim", ("dt", "horizon"),
+                  ("truncation_delta", "small_jump_mode", "seed"))
+    return SimConfig(**{k: config_number(v, f"sim.{k}") if k in _SIM_NUMBERS else v
+                        for k, v in obj.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,18 @@ import contextlib
 import copy
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .cb_flow import cb_marginals
-from .errors import ConfigurationError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    PreconditionError,
+    config_list,
+    config_number,
+    config_object,
+)
 from .exploration import scan_height
 from .local_time import (
     aligned_level_width,
@@ -66,7 +71,7 @@ from .local_time import (
     running_local_time,
     tanaka_local_time,
 )
-from .mechanism import BranchingMechanism, mechanism_to_config
+from .mechanism import BranchingMechanism, _left_sum, mechanism_to_config
 from .paths import (
     LevyPath,
     SimConfig,
@@ -149,21 +154,12 @@ def merge_harness(harness: dict) -> dict:
     or invalid field is a ConfigurationError naming it.  The config loader
     and every suite's plan run this one check; a harness it has returned
     passes through it again with the same values."""
-    if not isinstance(harness, dict):
-        raise ConfigurationError("harness: expected an object")
     out = copy.deepcopy(DEFAULT_HARNESS)
-    for key, val in harness.items():
-        if key not in out:
-            raise ConfigurationError(f"harness.{key}: unknown field")
-        if not isinstance(out[key], dict):
+    for key, val in config_object(harness, "harness", optional=out).items():
+        if isinstance(out[key], dict):
+            out[key].update(config_object(val, f"harness.{key}", optional=out[key]))
+        else:
             out[key] = val
-            continue
-        if not isinstance(val, dict):
-            raise ConfigurationError(f"harness.{key}: expected an object")
-        for sub in val:
-            if sub not in out[key]:
-                raise ConfigurationError(f"harness.{key}.{sub}: unknown field")
-        out[key].update(val)
     for key in _NUMERIC_LISTS:
         out[key] = _numbers(out[key], f"harness.{key}")
     if not max(out["residual_levels"]) > 0.0:
@@ -171,10 +167,7 @@ def merge_harness(harness: dict) -> dict:
     out["exponent_check"]["lambdas"] = _numbers(out["exponent_check"]["lambdas"],
                                                 "harness.exponent_check.lambdas")
     for key in ("x", "mean_budget", "laplace_budget", "oracle_alpha_offset"):
-        try:
-            out[key] = float(out[key])
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"harness.{key}: expected a number") from None
+        out[key] = config_number(out[key], f"harness.{key}")
         if not math.isfinite(out[key]):
             raise ConfigurationError(f"harness.{key}: must be finite")
     out["paths"] = _path_count(out["paths"], "harness.paths")
@@ -189,25 +182,23 @@ def merge_harness(harness: dict) -> dict:
     _validate_dts(out)
     if out["noise"]["f"] is not None:
         out["noise"]["f"] = _grid_function(out["noise"]["f"], "harness.noise.f")
-    if not (isinstance(out["boxes"], list) and out["boxes"]):
-        raise ConfigurationError("harness.boxes: expected a non-empty list of boxes")
+    if not config_list(out["boxes"], "harness.boxes"):
+        raise ConfigurationError("harness.boxes: must not be empty")
     for i, box in enumerate(out["boxes"]):
+        config_object(box, f"harness.boxes[{i}]", ("a", "z", "u"))
         for axis in ("a", "z", "u"):
-            rng = box.get(axis) if isinstance(box, dict) else None
+            rng, name = box[axis], f"harness.boxes[{i}].{axis}"
             if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-                    or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in rng)
+                    or not all(isinstance(v, (int, float))
+                               and math.isfinite(config_number(v, name)) for v in rng)
                     or not rng[0] < rng[1]):
-                raise ConfigurationError(
-                    f"harness.boxes[{i}].{axis}: expected finite [lo, hi] with lo < hi")
+                raise ConfigurationError(f"{name}: expected finite [lo, hi] with lo < hi")
     return out
 
 
 def _number(val, name: str) -> float:
     """A finite number > 0."""
-    try:
-        num = float(val)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name}: expected a number") from None
+    num = config_number(val, name)
     if not (math.isfinite(num) and num > 0.0):
         raise ConfigurationError(f"{name}: must be finite and > 0")
     return num
@@ -216,10 +207,7 @@ def _number(val, name: str) -> float:
 def _numbers(val, name: str) -> list[float]:
     """A non-empty list of finite numbers >= 0 (levels, Laplace arguments,
     steps)."""
-    try:
-        nums = [float(v) for v in val]
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name}: expected a list of numbers") from None
+    nums = [config_number(v, name) for v in config_list(val, name)]
     if not nums:
         raise ConfigurationError(f"{name}: must not be empty")
     if not all(math.isfinite(v) and v >= 0.0 for v in nums):
@@ -295,14 +283,12 @@ def _grid_function(obj, name: str) -> GridFunction2D:
     if isinstance(obj, GridFunction2D):
         return obj
     keys = ("s_edges", "u_edges", "values")
-    if not isinstance(obj, dict) or sorted(obj) != sorted(keys):
-        raise ConfigurationError(
-            f"{name}: expected an object with s_edges, u_edges and values")
+    config_object(obj, name, keys)
     arrays = {}
     for key in keys:
         try:
             arrays[key] = np.array(obj[key], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"{name}.{key}: expected numbers") from None
         if not np.isfinite(arrays[key]).all():
             raise ConfigurationError(f"{name}.{key}: must be finite")
@@ -1075,10 +1061,9 @@ def _reflected_row(spec, i: int) -> tuple:
     s_run = np.maximum.accumulate(nodes.values)
     w = node_weights(nodes.times)
     post = nodes.jump_post
-    # added in time order, one by one (np.sum's pairwise order, or the
-    # compensated sum() of Python 3.12+, would move the report's bits)
-    ds_sum = functools.reduce(
-        operator.add, np.maximum(nodes.values[post] - s_run[post - 1], 0.0).tolist(), 0.0)
+    # added in time order, one by one (np.sum's pairwise order would move
+    # the report's bits)
+    ds_sum = _left_sum(np.maximum(nodes.values[post] - s_run[post - 1], 0.0).tolist())
     return (beta * float(w[s_run - nodes.values < h_band].sum()) / h_band,
             float(s_run[-1]) - ds_sum)
 

@@ -390,6 +390,83 @@ def test_bad_mark_box_exits_2(tmp_path, box, field):
     assert "Traceback" not in r.stderr
 
 
+# the CI tiny-jumps config: an atom, a bounded power law and one mark box
+TINY_JUMPS = dict(
+    TINY_POWER_LAW,
+    mechanism={"alpha": 0.5, "beta": 1.0,
+               "jumps": {"atoms": [{"z": 0.5, "w": 1.0}],
+                         "power_law": BOUNDED_POWER_LAW["jumps"]["power_law"]}},
+    harness=dict(TINY_POWER_LAW["harness"],
+                 boxes=[{"a": [0.0, 0.5], "z": [0.4, 0.6], "u": [0.0, 0.5]}]))
+
+
+@pytest.mark.parametrize("block,old,new", [
+    (("sim",), "truncation_delta", "trunction_delta"),
+    (("mechanism",), None, "gamma"),
+    (("mechanism", "jumps"), "atoms", "atom"),
+    (("mechanism", "jumps", "atoms", 0), None, "x"),
+    (("mechanism", "jumps", "power_law"), "z_max", "zmax"),
+    (("harness", "boxes", 0), None, "w"),
+], ids=["sim.trunction_delta", "mechanism.gamma", "mechanism.jumps.atom",
+        "mechanism.jumps.atoms[0].x", "mechanism.jumps.power_law.zmax", "harness.boxes[0].w"])
+def test_unknown_field_in_any_object_exits_2_before_any_path(tmp_path, capsys, monkeypatch,
+                                                              block, old, new):
+    # a misspelt field would drop the atom, unbound the power law or leave a
+    # default in place: the run would test another mechanism than the one
+    # written.  old is renamed to new, or new added when old is None
+    import levyforest.verify as verify
+    from levyforest.cli import main
+    from levyforest.config import run_config_from_dict
+    from levyforest.errors import ConfigurationError
+
+    obj = json.loads(json.dumps(TINY_JUMPS))
+    target = obj
+    for key in block:
+        target = target[key]
+    target[new] = target.pop(old) if old else 1.0
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in block)[1:]
+    message = f"{field}.{new}: unknown field"
+    with pytest.raises(ConfigurationError) as loaded:
+        run_config_from_dict(obj)
+    assert str(loaded.value) == message
+    monkeypatch.setattr(verify, "sample_path",
+                        lambda *args, **kwargs: pytest.fail("a path was drawn"))
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "v"
+    assert main(["verify", "ray-knight", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "verify_ray-knight.json").exists()
+
+
+BIG = 10 ** 400     # a JSON integer beyond the float range
+BEYOND_FLOATS = [
+    ("mechanism.alpha", {"mechanism": {"alpha": BIG, "beta": 1.0}}),
+    ("harness.paths", {"harness": {"paths": BIG}}),
+    ("harness.levels", {"harness": {"levels": [0.25, BIG]}}),
+    ("harness.x", {"harness": {"x": BIG}}),
+    ("harness.noise.f.s_edges", {"harness": {"noise": {"f": {
+        "s_edges": [0.0, BIG], "u_edges": [0.0, 1.0], "values": [[1.0]]}}}}),
+    ("harness.boxes[0].a", {"harness": {"boxes": [
+        {"a": [0, BIG], "z": [0.8, 1.2], "u": [0, 0.5]}]}}),
+]
+
+
+@pytest.mark.parametrize("field,obj", BEYOND_FLOATS, ids=[f for f, _ in BEYOND_FLOATS])
+def test_integer_beyond_the_float_range_exits_2(tmp_path, field, obj):
+    from levyforest.config import run_config_from_dict
+    from levyforest.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError) as loaded:
+        run_config_from_dict(obj)
+    assert str(loaded.value).startswith(f"{field}: ")
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    r = run_cli("verify", "example", "--config", cfg, "--out", str(tmp_path / "v"))
+    assert r.returncode == 2, r.stderr
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "v" / "verify_example.json").exists()
+
+
 def test_suite_horizon_must_exceed_its_step(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"harness": {"noise": {"dt": 0.5, "horizon": 0.25}}})

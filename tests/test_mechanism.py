@@ -260,6 +260,13 @@ def test_moment_closed_forms_against_quadrature():
     assert math.isfinite(jm.z_z2_mass())
 
 
+def test_atom_moments_add_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, twice; a compensated sum (the builtin
+    # sum() of Python 3.12+) would return 1e16 + 2
+    jm = JumpMeasure(atoms=((1.0, 1e16), (1.0, 1.0), (1.0, 1.0)))
+    assert jm.moment(0) == 1e16
+
+
 def test_jump_measure_validation():
     with pytest.raises(ConfigurationError):
         JumpMeasure(atoms=((0.0, 1.0),))
@@ -334,6 +341,8 @@ def test_mechanism_config_errors_name_fields():
     with pytest.raises(ConfigurationError, match=r"atoms\[0\]"):
         mechanism_from_config({"alpha": 0.0, "beta": 1.0,
                                "jumps": {"atoms": [{"z": 1.0}]}})
+    with pytest.raises(ConfigurationError, match=r"^mechanism\.jumps\.atoms: expected a list"):
+        mechanism_from_config({"alpha": 0.0, "beta": 1.0, "jumps": {"atoms": 5}})
 
 
 # -- admissible mechanisms ---------------------------------------------------
