@@ -65,14 +65,15 @@ def run_config_from_dict(obj: dict, overrides: dict | None = None) -> RunConfig:
     values that replace the config's own before validation."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
     merged.update(config_object(obj, "config", optional=DEFAULT_CONFIG))
+    if merged["harness"] is None:       # only a missing field or null is empty
+        merged["harness"] = {}
     for name, val in (overrides or {}).items():
         section, key = name.split(".")
-        block = merged[section] or {}
-        if isinstance(block, dict):     # otherwise the section's own check reports it
-            merged[section] = {**block, key: val}
+        if isinstance(merged[section], dict):   # otherwise its own check reports it
+            merged[section] = {**merged[section], key: val}
     mech = mechanism_from_config(merged["mechanism"])
     sim = sim_config_from_config(merged["sim"])
-    harness = merge_harness(merged.get("harness") or {})
+    harness = merge_harness(merged["harness"])
     return RunConfig(mechanism=mech, sim=sim, harness=harness)
 
 

@@ -5,6 +5,8 @@ The CLI maps these onto exit codes: configuration problems exit 2,
 unsupported/violated preconditions exit 3, statistical check failures exit 4.
 """
 
+import numbers
+
 
 class ConfigurationError(ValueError):
     """A config value is missing, malformed, or inconsistent."""
@@ -37,8 +39,11 @@ def config_list(val, name: str) -> list:
 
 
 def config_number(val, name: str) -> float:
-    """float(val), or a ConfigurationError naming name."""
-    try:
-        return float(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{name}: expected a number") from None
+    """float(val) of a JSON number (a real number, not a bool), or a
+    ConfigurationError naming name: a string or true is no number."""
+    if isinstance(val, numbers.Real) and not isinstance(val, bool):
+        try:
+            return float(val)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    raise ConfigurationError(f"{name}: expected a number")

@@ -377,10 +377,14 @@ def mechanism_from_config(obj: dict) -> BranchingMechanism:
     config_object(obj, "mechanism", ("alpha", "beta"), ("jumps",))
     alpha = config_number(obj["alpha"], "mechanism.alpha")
     beta = config_number(obj["beta"], "mechanism.beta")
-    jumps = config_object(obj.get("jumps") or {}, "mechanism.jumps",
+    # only a missing field or null is empty: 0, false or "" is checked and rejected
+    jumps = obj.get("jumps")
+    jumps = config_object({} if jumps is None else jumps, "mechanism.jumps",
                           optional=("atoms", "power_law"))
+    listed = jumps.get("atoms")
     atoms = []
-    for i, atom in enumerate(config_list(jumps.get("atoms") or [], "mechanism.jumps.atoms")):
+    for i, atom in enumerate(config_list([] if listed is None else listed,
+                                         "mechanism.jumps.atoms")):
         name = f"mechanism.jumps.atoms[{i}]"
         config_object(atom, name, ("z", "w"))
         atoms.append((config_number(atom["z"], f"{name}.z"),

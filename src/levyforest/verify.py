@@ -23,11 +23,13 @@ the config loader runs too).  SUITES is the one name -> report table.
 
 Per-path work lives in module-level functions, fn(spec, i) -> tuple of
 statistics of path i, which a PathPool runs either in this process over
-every path (one job) or over contiguous index chunks in a pool of spawned
-worker processes; path streams are keyed on (seed, path index), so the
-split never changes a number.  One pool serves every suite of a verify
-command and also holds the path-exponent values, which suites sharing a
-mechanism then simulate once.
+every path (one job) or over contiguous index chunks in a pool of worker
+processes, forked on Linux; path streams are keyed on (seed, path index),
+so the split never changes a number.  One pool serves every suite of a
+verify command: run_all queues every suite's first job and path-exponent
+paths on it before waiting on any, so the workers run them back to back
+while this process reduces.  The pool also holds the path-exponent
+values, which suites sharing a mechanism then simulate once.
 
 A cell's pass is its rule on stat, oracle and tol, false on a NaN: gap
 |stat - oracle| <= tol (mean, Laplace, variance, skewness, Fano factor),
@@ -51,6 +53,7 @@ import contextlib
 import copy
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -98,6 +101,7 @@ __all__ = [
     "poisson_marks_report",
     "reflected_supremum_report",
     "PathPool",
+    "PathJob",
     "keep_heap_resident",
     "SUITES",
     "run_suite",
@@ -189,8 +193,7 @@ def merge_harness(harness: dict) -> dict:
         for axis in ("a", "z", "u"):
             rng, name = box[axis], f"harness.boxes[{i}].{axis}"
             if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-                    or not all(isinstance(v, (int, float))
-                               and math.isfinite(config_number(v, name)) for v in rng)
+                    or not all(math.isfinite(config_number(v, name)) for v in rng)
                     or not rng[0] < rng[1]):
                 raise ConfigurationError(f"{name}: expected finite [lo, hi] with lo < hi")
     return out
@@ -499,21 +502,55 @@ def keep_heap_resident() -> None:
     mallopt(-1, 64 << 20)
 
 
+class PathJob:
+    """The rows of one submitted job: result() waits for them, stacks them
+    once and re-raises a worker's error.  Without futures it runs the whole
+    range as one _chunk in this process when first asked."""
+
+    def __init__(self, fn, spec, m: int, futures=None):
+        self._job = fn, spec, m
+        self._futures = futures
+        self._rows = None
+
+    def result(self) -> tuple:
+        if self._rows is None:
+            if self._futures is None:
+                fn, spec, m = self._job
+                self._rows = _chunk(fn, spec, 0, m)
+            else:
+                parts = [fut.result() for fut in self._futures]
+                self._rows = tuple(np.concatenate(rows) for rows in zip(*parts))
+        return self._rows
+
+
 class PathPool:
     """Runs a per-path function fn(spec, i) -> tuple of statistics over the
-    paths [0, m) and returns one array per statistic, rows in path order.
+    paths [0, m) and returns one array per statistic, rows in path order:
+    submit returns a PathJob at once, map waits for it.
 
-    With one job the whole range is one _chunk in this process.  With more,
-    [0, m) is cut into contiguous chunks for a pool of spawned worker
-    processes, built at the first map and shut down when the with block
-    ends; it spawns workers on demand, so never more than the chunks it
-    has been given, and each keeps its heap resident.
+    With one job a PathJob runs the whole range as one _chunk in this
+    process when its rows are asked for.  With more, submit cuts [0, m)
+    into contiguous chunks and queues them on one pool of worker processes,
+    so the workers run every queued job back to back while this process
+    reduces.  The pool starts at the first submit, with min(jobs, chunks of
+    that job) workers, each keeping its heap resident, and is shut down
+    when the with block ends.
+
+    On Linux the workers are forked, so they start with this process's
+    imported numpy and levyforest, its resolved jump laws and its heap
+    settings instead of importing them again.  At fork time the only other
+    OS thread is numpy's OpenBLAS pool, which quiesces itself through
+    pthread_atfork; CPython 3.12 and later still warn (DeprecationWarning)
+    when a multi-threaded process forks, and that warning is left on.  A
+    host process that runs threads of its own, such as a notebook kernel,
+    takes the risk of forking them at jobs > 1.  Where fork is not safe
+    the workers are spawned, and import the calling script as a module.
     """
 
     def __init__(self, jobs: int = 1):
         self.jobs = jobs
         self._executor = None
-        self.exponent_values: dict = {}     # (mechanism, sim config, step k, paths) -> X_t
+        self.exponent_jobs: dict = {}       # (mechanism, sim config, step k, paths) -> X_t
 
     def __enter__(self) -> PathPool:
         return self
@@ -523,21 +560,24 @@ class PathPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def map(self, fn, spec, m: int) -> tuple:
+    def submit(self, fn, spec, m: int) -> PathJob:
         if self.jobs == 1:
-            return _chunk(fn, spec, 0, m)
+            return PathJob(fn, spec, m)
+        n = min(m, CHUNKS_PER_WORKER * self.jobs)
         if self._executor is None:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            method = "fork" if sys.platform.startswith("linux") else "spawn"
+            # a fork pool starts all its workers at once: no more than chunks
             self._executor = ProcessPoolExecutor(
-                self.jobs, mp_context=multiprocessing.get_context("spawn"),
+                min(self.jobs, n), mp_context=multiprocessing.get_context(method),
                 initializer=keep_heap_resident)
-        n = min(m, CHUNKS_PER_WORKER * self.jobs)
         bounds = [m * c // n for c in range(n + 1)]
-        futures = [self._executor.submit(_chunk, fn, spec, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:])]
-        parts = [fut.result() for fut in futures]      # re-raises a worker's error
-        return tuple(np.concatenate(rows) for rows in zip(*parts))
+        return PathJob(fn, spec, m, [self._executor.submit(_chunk, fn, spec, lo, hi)
+                                     for lo, hi in zip(bounds, bounds[1:])])
+
+    def map(self, fn, spec, m: int) -> tuple:
+        return self.submit(fn, spec, m).result()
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +593,18 @@ _REQUIREMENTS = {
 
 def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
     """Make the suite body, a generator suite(mech, cfg, harness, oracle)
-    that yields path jobs (fn, spec, m) and is sent pool.map(fn, spec, m)
-    for each, into the report function (mech, cfg, harness, *, jobs=1,
-    pool=None), which runs the jobs on pool, or on its own pool of jobs
-    workers, and appends the path-exponent cells.  Its plan(mech, cfg,
-    harness) draws no path: it checks the preconditions in the order given
-    (requires maps names in _REQUIREMENTS to messages; fixed_mech replaces
-    the caller's mechanism), fills the harness in and checks it, shifts the
-    oracle's drift by harness.oracle_alpha_offset, runs the body to its
-    first job and plans the exponent.
+    that yields path jobs (fn, spec, m) and is sent the PathJob of
+    pool.submit(fn, spec, m) for each, into the report function (mech, cfg,
+    harness, *, jobs=1, pool=None, queued=None), which runs the jobs on
+    pool, or on its own pool of jobs workers, and appends the path-exponent
+    cells.  Its plan(mech, cfg, harness) draws no path: it checks the
+    preconditions in the order given (requires maps names in _REQUIREMENTS
+    to messages; fixed_mech replaces the caller's mechanism), fills the
+    harness in and checks it, shifts the oracle's drift by
+    harness.oracle_alpha_offset, runs the body to its first job and plans
+    the exponent.  queued is a plan whose first job and exponent paths
+    _queue has already submitted to pool (run_all); the report function
+    then drives that plan.
     """
     def wrap(suite):
         def plan(mech, cfg, harness) -> tuple:
@@ -580,12 +623,13 @@ def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
 
         @functools.wraps(suite)
         def run(mech: BranchingMechanism, cfg: SimConfig, harness: dict, *,
-                jobs: int = 1, pool: PathPool | None = None) -> MonteCarloReport:
-            steps, job, echo, exponent = plan(mech, cfg, harness)
+                jobs: int = 1, pool: PathPool | None = None,
+                queued: tuple | None = None) -> MonteCarloReport:
             with contextlib.nullcontext(pool) if pool else PathPool(jobs) as pool:
+                steps, job, echo, exponent = queued or _queue(plan(mech, cfg, harness), pool)
                 try:
                     while True:
-                        job = steps.send(pool.map(*job))
+                        job = pool.submit(*steps.send(job))
                 except StopIteration as done:
                     done.value.config_echo.update(echo)
                     done.value.cells.extend(_exponent_cells(*exponent, pool))
@@ -593,6 +637,15 @@ def _suite(fixed_mech: BranchingMechanism | None = None, **requires: str):
         run.plan = plan
         return run
     return wrap
+
+
+def _queue(planned: tuple, pool: PathPool) -> tuple:
+    """A suite's plan with its first job submitted to pool, then its
+    path-exponent paths unless pool already holds them."""
+    steps, job, echo, exponent = planned
+    job = pool.submit(*job)
+    _exponent_job(exponent[0], pool)
+    return steps, job, echo, exponent
 
 
 def _exponent_row(spec, i: int) -> tuple:
@@ -620,10 +673,14 @@ def _exponent_plan(mech: BranchingMechanism, oracle: BranchingMechanism,
     return key, targets
 
 
+def _exponent_job(key: tuple, pool: PathPool) -> PathJob:
+    if key not in pool.exponent_jobs:               # once per pool, not per suite
+        pool.exponent_jobs[key] = pool.submit(_exponent_row, key[:3], key[3])
+    return pool.exponent_jobs[key]
+
+
 def _exponent_cells(key: tuple, targets: list, pool: PathPool) -> list[CheckCell]:
-    if key not in pool.exponent_values:             # once per pool, not per suite
-        pool.exponent_values[key], = pool.map(_exponent_row, key[:3], key[3])
-    vals = pool.exponent_values[key]
+    vals, = _exponent_job(key, pool).result()
     return [_mean_cell("path_exponent", params, np.exp(-params["lam"] * vals), target,
                        0.01 * target) for params, target in targets]
 
@@ -734,7 +791,7 @@ def ray_knight_report(mech, cfg, harness, oracle):
         raise ConfigurationError(f"harness.levels: {exc}; set harness.level_width") from None
     bins = [_level_bin(a, width, "harness.level_width") for a in levels]
 
-    prof, = yield _ray_knight_row, (mech, cfg, x, bins, width), m_paths
+    prof, = (yield _ray_knight_row, (mech, cfg, x, bins, width), m_paths).result()
     kept, discarded, discard_cell = _discards(
         prof[:, 0], note="report invalid above 5% non-passage")
     P = prof[kept]
@@ -824,8 +881,8 @@ def theorem1_report(mech, cfg, harness, oracle):
     m_paths, horizon = harness["theorem1"]["paths"], harness["theorem1"]["horizon"]
     dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, horizon)
 
-    res, prof_fine = yield (_theorem1_row,
-                            (mech, fine_cfg, x, levels, ratios, widths, bins), m_paths)
+    res, prof_fine = (yield (_theorem1_row, (mech, fine_cfg, x, levels, ratios, widths, bins),
+                             m_paths)).result()
     res = np.ascontiguousarray(res.swapaxes(0, 1))     # (rung, path, level), C order
     kept, discarded, discard_cell = _discards(res[0, :, 0])
 
@@ -871,8 +928,8 @@ def tanaka_report(mech, cfg, harness, oracle):
     m_paths, t_window = harness["tanaka"]["paths"], harness["tanaka"]["t"]
     dts, ratios, widths, bins, fine_cfg = _ladder(cfg, harness, levels, t_window)
 
-    occ, tan, pm_gap = yield (_tanaka_row,
-                              (mech, fine_cfg, levels, ratios, widths, bins), m_paths)
+    occ, tan, pm_gap = (yield (_tanaka_row, (mech, fine_cfg, levels, ratios, widths, bins),
+                               m_paths)).result()
     # (rung, path, level) in C order, the layout the sums below were written for
     occ, tan = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (occ, tan))
 
@@ -925,8 +982,8 @@ def white_noise_report(mech, cfg, harness, oracle):
     sub = replace(cfg, dt=block["dt"], horizon=block["horizon"])
     n_bins = max(1, _level_bin(a_lvl, width, "harness.noise.a"))
 
-    w_hat, covered = yield (_noise_row,
-                            (mech, sub, f, a_lvl, u_max, width, n_bins), m_paths)
+    w_hat, covered = (yield (_noise_row, (mech, sub, f, a_lvl, u_max, width, n_bins),
+                             m_paths)).result()
 
     mean_cell = _mean_cell("mean", {}, w_hat, 0.0, 0.0)
     mean = mean_cell.stat
@@ -1016,8 +1073,9 @@ def poisson_marks_report(mech, cfg, harness, oracle):
     j_level = max(tops)
     n_prof = max([j_level + 1] + [hi for _, hi in box_bins])
 
-    counts, covered, prof_vals = yield (
-        _poisson_row, (mech, sub, x, boxes, box_bins, width, n_prof, j_level), m_paths)
+    counts, covered, prof_vals = (yield (
+        _poisson_row, (mech, sub, x, boxes, box_bins, width, n_prof, j_level),
+        m_paths)).result()
     kept, discarded, discard_cell = _discards(counts[:, 0])
     C = counts[kept]
     report = MonteCarloReport(
@@ -1079,14 +1137,19 @@ def reflected_supremum_report(mech, cfg, harness, oracle):
     beta = 0.5 * simulated_law(mech, cfg)[3]
     has_jumps = not mech.jumps.is_zero
 
+    bands = [band_mult * math.sqrt(2.0 * beta * dt) for dt in dts]
+    jobs = []           # every rung's job is queued before any is waited on
+    for dt, h_band in zip(dts, bands):
+        jobs.append((yield (_reflected_row,
+                            (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band),
+                            m_paths)))
+
     report = MonteCarloReport(
         check="reflected", sample_size=m_paths,
         config_echo={"t": t_end, "dts": dts, "band_mult": band_mult})
     rungs = []
-    for dt in dts:
-        h_band = band_mult * math.sqrt(2.0 * beta * dt)
-        lhs, rhs = yield (_reflected_row,
-                          (mech, replace(cfg, dt=dt, horizon=t_end), beta, h_band), m_paths)
+    for dt, h_band, job in zip(dts, bands, jobs):
+        lhs, rhs = job.result()
         # the spreads are combined before dividing by sqrt(m); _se of each side
         # would round differently and change the reported stderr
         rungs.append(({"dt": dt, "band": h_band},
@@ -1118,7 +1181,8 @@ def _brownian_example(mech, cfg, harness, oracle):
     block = harness["example"]
     m_paths, dt, t_end = block["paths"], block["dt"], block["t"]
 
-    hs, = yield _example_row, (mech, replace(cfg, dt=dt, horizon=t_end)), m_paths
+    hs, = (yield _example_row, (mech, replace(cfg, dt=dt, horizon=t_end)),
+           m_paths).result()
     hs_sorted = np.sort(hs)
     scale = 2.0 * math.sqrt(2.0 * t_end)
     cdf = np.array([math.erf(h / scale) for h in hs_sorted])
@@ -1155,28 +1219,32 @@ SUITES = {
 
 
 def run_suite(name: str, mech: BranchingMechanism, cfg: SimConfig,
-              harness: dict, jobs: int = 1,
-              pool: PathPool | None = None) -> MonteCarloReport:
+              harness: dict, jobs: int = 1, pool: PathPool | None = None,
+              queued: tuple | None = None) -> MonteCarloReport:
     """One suite, on pool if given, else on a pool of its own with jobs
-    workers."""
+    workers; from its queued plan on pool when given (run_all)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](mech, cfg, harness, jobs=jobs, pool=pool)
+    return SUITES[name](mech, cfg, harness, jobs=jobs, pool=pool, queued=queued)
 
 
 def run_all(mech: BranchingMechanism, cfg: SimConfig, harness: dict,
             jobs: int = 1) -> list[MonteCarloReport]:
     """Plan every suite, so that a configuration error leaves before any
-    path is drawn, then run the applicable ones on one pool; inapplicable
-    suites are recorded as skipped entries rather than failures."""
-    skipped = {}
+    path is drawn, then queue the first job and the path-exponent paths of
+    every applicable suite on one pool before waiting on any of them, and
+    finish the suites in order; inapplicable suites are recorded as
+    skipped entries rather than failures."""
+    planned, skipped = {}, {}
     for name, report_fn in SUITES.items():
         try:
-            report_fn.plan(mech, cfg, harness)
+            planned[name] = report_fn.plan(mech, cfg, harness)
         except PreconditionError as exc:
             skipped[name] = MonteCarloReport(
                 check=name, sample_size=0, skipped=True, reason=str(exc),
                 config_echo={"mechanism": mechanism_to_config(mech)})
     with PathPool(jobs) as pool:
-        return [skipped.get(name) or run_suite(name, mech, cfg, harness, pool=pool)
+        queued = {name: _queue(plan, pool) for name, plan in planned.items()}
+        return [skipped.get(name) or run_suite(name, mech, cfg, harness, pool=pool,
+                                               queued=queued.pop(name))
                 for name in SUITES]

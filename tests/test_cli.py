@@ -467,6 +467,67 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, field, obj):
     assert not (tmp_path / "v" / "verify_example.json").exists()
 
 
+FELLER_MECH = {"alpha": 0.5, "beta": 1.0}
+NOT_A_NUMBER_OR_EMPTY = [
+    # a number is a JSON number: not a string float() would read, not a bool
+    ("mechanism.alpha", {"mechanism": {"alpha": "0.5", "beta": 1.0}}),
+    ("mechanism.beta", {"mechanism": {"alpha": 0.5, "beta": True}}),
+    ("sim.dt", {"sim": {"dt": "1e-3", "horizon": 24.0}}),
+    ("harness.paths", {"harness": {"paths": "100"}}),
+    ("harness.levels", {"harness": {"levels": [0.25, "0.5"]}}),
+    ("harness.noise.dt", {"harness": {"noise": {"dt": True}}}),
+    ("harness.boxes[0].a", {"harness": {"boxes": [
+        {"a": [0.0, True], "z": [0.8, 1.2], "u": [0.0, 0.5]}]}}),
+    ("mechanism.jumps.atoms[0].w", {"mechanism": dict(
+        FELLER_MECH, jumps={"atoms": [{"z": 1.0, "w": "1"}]})}),
+    # only a missing field or null is empty: a falsy value is no object or list
+    ("mechanism.jumps", {"mechanism": dict(FELLER_MECH, jumps=0)}),
+    ("mechanism.jumps", {"mechanism": dict(FELLER_MECH, jumps=False)}),
+    ("mechanism.jumps", {"mechanism": dict(FELLER_MECH, jumps="")}),
+    ("mechanism.jumps", {"mechanism": dict(FELLER_MECH, jumps=[])}),
+    ("mechanism.jumps.atoms", {"mechanism": dict(FELLER_MECH, jumps={"atoms": ""})}),
+    ("mechanism.jumps.atoms", {"mechanism": dict(FELLER_MECH, jumps={"atoms": 0})}),
+    ("harness", {"harness": 0}),
+    ("harness", {"harness": False}),
+]
+
+
+@pytest.mark.parametrize("field,obj", NOT_A_NUMBER_OR_EMPTY,
+                         ids=[f"{f}={json.dumps(o)}" for f, o in NOT_A_NUMBER_OR_EMPTY])
+def test_non_number_or_falsy_field_exits_2_before_any_path(tmp_path, capsys, monkeypatch,
+                                                            field, obj):
+    import levyforest.verify as verify
+    from levyforest.cli import main
+    from levyforest.config import run_config_from_dict
+    from levyforest.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError) as loaded:
+        run_config_from_dict(obj)
+    assert str(loaded.value).startswith(f"{field}: ")
+    monkeypatch.setattr(verify, "sample_path",
+                        lambda *args, **kwargs: pytest.fail("a path was drawn"))
+    cfg = write_cfg(tmp_path, "c.json", obj)
+    out = tmp_path / "v"
+    assert main(["verify", "example", "--config", cfg, "--out", str(out)]) == 2
+    assert f"configuration error: {field}: " in capsys.readouterr().err
+    assert not (out / "verify_example.json").exists()
+
+
+@pytest.mark.parametrize("mechanism,harness", [
+    (dict(FELLER_MECH, jumps=None), None),
+    (dict(FELLER_MECH, jumps={}), {}),
+    (dict(FELLER_MECH, jumps={"atoms": None, "power_law": None}), None),
+    (dict(FELLER_MECH, jumps={"atoms": []}), {}),
+])
+def test_null_or_empty_jumps_and_harness_read_as_empty(mechanism, harness):
+    from levyforest.config import run_config_from_dict
+
+    run = run_config_from_dict({"mechanism": mechanism, "harness": harness})
+    assert run.mechanism == run_config_from_dict({"mechanism": FELLER_MECH}).mechanism
+    assert run.mechanism.jumps.is_zero
+    assert run.harness == run_config_from_dict({}).harness
+
+
 def test_suite_horizon_must_exceed_its_step(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"harness": {"noise": {"dt": 0.5, "horizon": 0.25}}})

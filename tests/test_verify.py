@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -338,6 +339,84 @@ def test_path_pool_surfaces_worker_errors():
     with PathPool(2) as pool:
         with pytest.raises(IndexError):
             pool.map(_exponent_row, spec, 4)
+
+
+NO_MAIN_GUARD = """
+import json
+import sys
+
+from levyforest.mechanism import mechanism_from_config
+from levyforest.paths import SimConfig
+from levyforest.verify import run_all
+
+mech = mechanism_from_config({"alpha": 0.5, "beta": 0.5,
+                              "jumps": {"atoms": [{"z": 1.0, "w": 1.0}]}})
+harness = json.loads(sys.argv[1])
+reports = run_all(mech, SimConfig(dt=1e-3, horizon=24.0, seed=17), harness, jobs=2)
+print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
+"""
+
+
+def test_run_all_with_workers_from_a_script_without_a_main_guard(tmp_path):
+    # workers that import the calling script again would run its
+    # top-level run_all once more, in their own start-up
+    import subprocess
+
+    script = tmp_path / "no_guard.py"
+    script.write_text(NO_MAIN_GUARD)
+    r = subprocess.run([sys.executable, str(script), json.dumps(TINY)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    serial = run_all(JUMPY, CFG, TINY, jobs=1)
+    assert r.stdout.strip() == json.dumps([rep.to_dict() for rep in serial], sort_keys=True)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_all_queues_every_job_before_waiting_on_any(monkeypatch, jobs):
+    import levyforest.verify as verify
+
+    events = []
+    submit, result = verify.PathPool.submit, verify.PathJob.result
+
+    def submitting(pool, fn, spec, m):
+        events.append(("submit", fn.__name__))
+        return submit(pool, fn, spec, m)
+
+    def waiting(job):
+        events.append(("wait", job._job[0].__name__))
+        return result(job)
+
+    monkeypatch.setattr(verify.PathPool, "submit", submitting)
+    monkeypatch.setattr(verify.PathJob, "result", waiting)
+    reports = run_all(JUMPY, CFG, TINY, jobs=jobs)
+    assert not any(r.skipped for r in reports)
+    # every suite's first job in suite order, each followed by the exponent
+    # paths it is the first to need: the jump mechanism's, then the example's
+    # Brownian one; all before any wait
+    assert events[:10] == [("submit", fn) for fn in (
+        "_ray_knight_row", "_exponent_row", "_theorem1_row", "_tanaka_row", "_noise_row",
+        "_poisson_row", "_reflected_row", "_example_row", "_exponent_row")] + [
+        ("wait", "_ray_knight_row")]
+    # the reflected suite's later rungs, one job each, are all submitted
+    # before it waits on its first
+    reflected = [e for e in events if e[1] == "_reflected_row"]
+    assert reflected == [("submit", "_reflected_row")] * 3 + [("wait", "_reflected_row")] * 3
+    assert [e for e in events[10:] if e[0] == "submit"] == [("submit", "_reflected_row")] * 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="only forked workers inherit the planted error")
+def test_worker_error_in_a_later_suite_reaches_the_caller(monkeypatch):
+    import levyforest.verify as verify
+
+    def planted(times):
+        raise IndexError("planted in the reflected row")
+
+    # only the reflected row, the sixth suite's, calls node_weights
+    monkeypatch.setattr(verify, "node_weights", planted)
+    with pytest.raises(IndexError, match="planted in the reflected row"):
+        run_all(JUMPY, CFG, TINY, jobs=2)
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("libc", ["no mallopt", "no libc"])
